@@ -14,8 +14,8 @@ The three are combined into a single verdict (Exists / Obstructed / Unknown)
 by :func:`se_status`.  The moduli side counts weighted-homogeneous monomials:
 the Kuranishi-style dimension h^0(O(d)) - sum_i h^0(O(w_i)) and the number
 of admissible perturbation monomials z^b with 0 <= b_j < a_j of weighted
-degree d.  For some links the two counts disagree in the literature; both
-are always reported side by side.
+degree d, counted by meeting in the middle.  For some links the two
+counts disagree in the literature; both are always reported side by side.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
+from .homology import _lattice_halves
 from .linkmodel import LinkProfile, make_link, sylvester_sequence
 
 __all__ = [
@@ -225,16 +226,6 @@ def se_status(link):
     )
 
 
-def _monomial_counts(weights, up_to):
-    """DP table t with t[m] = #{ b in Z_{>=0}^k : sum b_j w_j = m }."""
-    table = [0] * (up_to + 1)
-    table[0] = 1
-    for w in weights:
-        for amount in range(w, up_to + 1):
-            table[amount] += table[amount - w]
-    return table
-
-
 def count_weighted_monomials(weights, degree):
     """Number of monomials of weighted degree ``degree``: the coefficient
     count #{ b : sum b_j w_j = degree } = h^0 of O(degree) on the weighted
@@ -253,7 +244,17 @@ def count_weighted_monomials(weights, degree):
             raise PreconditionFailed(f"weight {w!r} must be an integer >= 1")
     if degree < 0:
         raise PreconditionFailed(f"degree must be >= 0, got {degree}")
-    return _monomial_counts(weights, degree)[degree]
+    table = [1] + [0] * degree  # table[m] = #{ b : sum b_j w_j = m }
+    for w in weights:
+        for amount in range(w, degree + 1):
+            table[amount] += table[amount - w]
+    return table[degree]
+
+
+def _count_exact(w, box, target):
+    """#{ b : b_j in box[j], sum b_j w_j = target }, met in the middle."""
+    kept, other = _lattice_halves(w, box, target=target)
+    return sum(count * kept.get(target - s, 0) for s, count in other)
 
 
 def count_perturbation_monomials(link):
@@ -261,7 +262,7 @@ def count_perturbation_monomials(link):
 
     These are the perturbations of the defining polynomial that stay inside
     the same weighted-homogeneous family with isolated singularity (each
-    variable's exponent stays below its own a_j).
+    variable's exponent stays below its own a_j), met in the middle.
 
     >>> count_perturbation_monomials(make_link((2, 3, 11, 11)))
     10
@@ -269,22 +270,7 @@ def count_perturbation_monomials(link):
     0
     """
     link = _as_link(link)
-    d = link.degree
-    table = [0] * (d + 1)
-    table[0] = 1
-    for w, a in zip(link.weights, link.exponents):
-        nxt = [0] * (d + 1)
-        for amount, ways in enumerate(table):
-            if not ways:
-                continue
-            v = amount
-            for _ in range(a):  # b = 0 .. a-1
-                if v > d:
-                    break
-                nxt[v] += ways
-                v += w
-        table = nxt
-    return table[d]
+    return _count_exact(link.weights, map(range, link.exponents), link.degree)
 
 
 @dataclass(frozen=True)
@@ -319,7 +305,8 @@ class ModuliReport:
 def moduli_dimension(link):
     """Compute the :class:`ModuliReport` of a link.
 
-    One DP table up to amount d answers h^0(O(d)) and every h^0(O(w_i)).
+    h^0(O(d)) counts b with 0 <= b_j <= a_j, sum b_j w_j = d, and h^0(O(w_i))
+    b with 0 <= b_j <= w_i / w_j, sum b_j w_j = w_i; both met in the middle.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)
@@ -327,9 +314,9 @@ def moduli_dimension(link):
     """
     link = _as_link(link)
     _require_surface_dim(link)
-    table = _monomial_counts(link.weights, link.degree)
-    h0_d = table[link.degree]
-    h0_w = sum(table[w] for w in link.weights)
+    w = link.weights
+    h0_d = _count_exact(w, [range(a + 1) for a in link.exponents], link.degree)
+    h0_w = sum(_count_exact(w, [range(x // v + 1) for v in w], x) for x in w)
     kuranishi = h0_d - h0_w
     applicable = sum(1 for a in link.exponents if a == 2) <= 1
     if applicable and kuranishi < 0:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from bisect import bisect_left
+from itertools import accumulate, combinations, product
 
 from .errors import (
     BudgetExceeded,
@@ -334,6 +335,49 @@ def diffeo_type_dim5(exponents):
     return Dim5Type(kind=Dim5Kind.UNCLASSIFIED, middle_rank=kappa)
 
 
+# Most keys in one {partial sum: count} dict of the kernel (about 100 MB).
+_MAX_HALF_KEYS = 1 << 20
+
+
+def _half_sums(axes, modulus, top):
+    """{sum of x_j * step_j over the axes (mod modulus), below top: count}."""
+    sums = {0: 1}
+    for w, rng in axes:
+        nxt = {}
+        for s, count in sums.items():
+            for v in range(s + rng.start * w, min(s + rng.stop * w, top), w):
+                v = v % modulus if modulus else v
+                nxt[v] = nxt.get(v, 0) + count
+        sums = nxt
+    return sums
+
+
+def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
+    """Meet in the middle over the lattice box x_j in ranges[j], split into
+    two halves of balanced box size.  Returns (kept, other): the dict {sum
+    of x_j * steps[j] (mod modulus), at most target: point count} of the
+    larger half whose bound min(half box, target + 1, modulus) is within
+    _MAX_HALF_KEYS, and (sum, count) pairs of the other half, from its dict
+    or, over the bound, from at most ``walk`` points walked one by one
+    (sums unreduced).  Past a bound BudgetExceeded is raised up front."""
+    top = math.inf if target is None else target + 1
+    halves, sizes = [[], []], [1, 1]
+    for axis in sorted(zip(steps, ranges), key=lambda ax: -len(ax[1])):
+        k = sizes[1] < sizes[0]
+        halves[k].append(axis)
+        sizes[k] *= len(axis[1])
+    need = [min(n, top, modulus or math.inf) for n in sizes]
+    k = max((0, 1), key=lambda j: (need[j] <= _MAX_HALF_KEYS, sizes[j]))
+    axes = [range(r.start * w, r.stop * w, w) for w, r in halves[1 - k]]
+    walked = need[1 - k] > _MAX_HALF_KEYS
+    if need[k] > _MAX_HALF_KEYS or walked and math.prod(map(len, axes)) > walk:
+        raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
+    kept = _half_sums(halves[k], modulus, top)
+    if walked:
+        return kept, ((sum(p), 1) for p in product(*axes))
+    return kept, _half_sums(halves[1 - k], modulus, top).items()
+
+
 def milnor_signature_dim7(exponents, budget=10**9):
     """Signature of the Milnor fibre intersection form for a 7-dim link.
 
@@ -343,10 +387,11 @@ def milnor_signature_dim7(exponents, budget=10**9):
               - #{ x : sum x_j/a_j mod 2 in (1,2) }
 
     (boundary points, i.e. integral or odd-integral sums, contribute zero;
-    they are exactly the monodromy eigenvalue-one points).  The box is
-    iterated directly, so the product of the exponents is capped by
-    ``budget`` (default 10^9 lattice points); larger requests raise
-    BudgetExceeded rather than silently running for hours.
+    they are exactly the monodromy eigenvalue-one points).  With d = lcm(a),
+    one half of the axes (see :func:`_lattice_halves`) is reduced to sorted
+    residues of sum x_j d/a_j mod 2d, which each residue of the other half
+    bisects for the arcs (0,d) and (d,2d).  A box above ``budget`` (default
+    10^9 lattice points) raises BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8
@@ -361,24 +406,22 @@ def milnor_signature_dim7(exponents, budget=10**9):
         )
     box = math.prod(a)
     if box > budget:
-        raise BudgetExceeded(
-            f"lattice box {box} exceeds budget {budget}"
-        )
+        raise BudgetExceeded(f"lattice box {box} exceeds budget {budget}")
     d = math.lcm(*a)
     twod = 2 * d
-    # per-axis contributions x * (d / a_j), reduced mod 2d
-    axes = [
-        [(x * (d // aj)) % twod for x in range(1, aj)]
-        for aj in a
-    ]
-    sigma = 0
-    for parts in product(*axes):
-        r = sum(parts) % twod
-        if 0 < r < d:
-            sigma += 1
-        elif r > d:
-            sigma -= 1
-    return sigma
+    steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]
+    kept, other = _lattice_halves(steps, ranges, modulus=twod, walk=budget)
+    keys = sorted(kept)
+    prefix = [0, *accumulate(kept[s] for s in keys)]
+
+    def below(x):  # kept residues s with s < x, counted periodically
+        laps, x = divmod(x, twod)
+        return laps * prefix[-1] + prefix[bisect_left(keys, x)]
+
+    return sum(  # r + s mod 2d in (0, d) counts +1, in (d, 2d) counts -1
+        n * (below(d - r) - below(1 - r) - below(twod - r) + below(d + 1 - r))
+        for r, n in other
+    )
 
 
 def exotic_class_dim7(exponents, budget=10**9):

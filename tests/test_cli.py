@@ -153,6 +153,19 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_exit_code_budget_oversize_moduli_count():
+    # d is about 1e13: the moduli half-boxes would need millions of partial
+    # sums, so the lattice kernel refuses before allocating anything
+    proc = subprocess.run(
+        [sys.executable, "-m", "brieskorn.cli", "analyze", "2,3,7,43,1807,3263443"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,6 +1,7 @@
 """Sasaki-Einstein existence criteria, moduli counts, and Sylvester numerators."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from brieskorn import (
     se_sufficient,
     sylvester_numerator,
 )
+from brieskorn import homology
 
 
 def test_sufficient_inequalities():
@@ -102,6 +104,28 @@ def test_count_perturbation_monomials():
     assert count_perturbation_monomials(make_link((2, 3, 5, 7))) == 0
     # (2,2,2,2): b in {0,1}^4 with sum of weights 1+1+1+1 reaching d = 2
     assert count_perturbation_monomials(make_link((2, 2, 2, 2))) == 6
+
+
+def test_count_perturbation_monomials_prunes_at_target():
+    # d = 30 with weights all 1: compositions of 30 into 12 parts, each <= 29
+    # (the 12 compositions with one part equal to 30 are excluded).  The box
+    # has 30^12 points, but no partial sum above 30 is ever kept.
+    link = make_link((30,) * 12)
+    assert count_perturbation_monomials(link) == math.comb(41, 11) - 12
+    assert moduli_dimension(link).h0_degree == count_weighted_monomials(
+        (1,) * 12, 30
+    )
+
+
+def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
+    # h0(O(d)) of (2,2,3,5,97) splits into halves of 98 and 216 points; with
+    # the key cap at 100 the 216-point half is walked instead of stored
+    link = make_link((2, 2, 3, 5, 97))
+    report = moduli_dimension(link)
+    assert report.h0_degree == count_weighted_monomials(link.weights, link.degree)
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 100)
+    assert moduli_dimension(link) == report
+    assert count_perturbation_monomials(link) == report.perturbation_count
 
 
 def test_moduli_report():

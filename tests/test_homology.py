@@ -1,7 +1,9 @@
 """Integral homology data: Betti ranks, sphere tests, classifiers, signatures."""
 
+import collections
 import itertools
 import math
+import random
 
 import pytest
 
@@ -21,6 +23,8 @@ from brieskorn import (
     milnor_signature_dim7,
     quotient_betti,
 )
+from brieskorn import homology
+from brieskorn.homology import _lattice_halves
 
 
 def box_kappa(exponents):
@@ -42,6 +46,67 @@ def box_kappa(exponents):
 ])
 def test_middle_betti_against_lattice_count(v):
     assert middle_betti(v) == box_kappa(v)
+
+
+def kernel_kappa(exponents):
+    """Middle Betti rank from the lattice kernel: open-box points x with
+    sum x_j d/a_j = 0 mod d, met in the middle."""
+    d = math.lcm(*exponents)
+    kept, other = _lattice_halves(
+        [d // a for a in exponents], [range(1, a) for a in exponents], modulus=d
+    )
+    return sum(count * kept.get(-s % d, 0) for s, count in other)
+
+
+def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
+    # with the key cap lowered to 10, the 50-point half cannot be stored:
+    # it is walked one point at a time against the stored 6-key half
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
+    steps, ranges = [7, 5, 3], [range(50), range(2), range(1, 4)]
+    brute = collections.Counter(
+        sum(x * w for x, w in zip(p, steps)) % 40
+        for p in itertools.product(*ranges)
+    )
+    kept, other = _lattice_halves(steps, ranges, modulus=40)
+    pairs = list(other)
+    assert len(kept) == 6 and len(pairs) == 50
+    met = collections.Counter()
+    for s, n in pairs:
+        for t, m in kept.items():
+            met[(s + t) % 40] += n * m
+    assert met == brute
+    kept, other = _lattice_halves(steps, ranges, target=100)
+    assert sum(n * kept.get(100 - s, 0) for s, n in other) == sum(
+        1 for p in itertools.product(*ranges)
+        if sum(x * w for x, w in zip(p, steps)) == 100
+    )
+    with pytest.raises(BudgetExceeded):
+        _lattice_halves(steps, ranges, modulus=40, walk=49)
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 5)
+    with pytest.raises(BudgetExceeded):
+        _lattice_halves(steps, ranges, modulus=40)
+
+
+def seven_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_middle_betti_against_kernel_count_beyond_brute_force_cap():
+    # boxes from 2e5 (where the brute-force lattice oracles stop) to 1e7;
+    # 7-smooth exponents share factors, so most middle ranks are non-zero
+    pool = [n for n in range(2, 121) if seven_smooth(n)]
+    rng = random.Random(20150629)
+    vectors = []
+    while len(vectors) < 20:
+        vec = tuple(rng.choice(pool) for _ in range(rng.randint(4, 6)))
+        if 200_000 < math.prod(a - 1 for a in vec) <= 10**7:
+            vectors.append(vec)
+    ranks = [middle_betti(v) for v in vectors]
+    assert [kernel_kappa(v) for v in vectors] == ranks
+    assert sum(1 for r in ranks if r) >= 10
 
 
 def test_middle_betti_known_values():
@@ -200,6 +265,14 @@ def test_milnor_signature_known_values():
     # sigma(2,2,2,3,5) = 8: the Milnor generator of bP_8
     assert milnor_signature_dim7((2, 2, 2, 3, 5)) == 8
     assert milnor_signature_dim7((2, 2, 2, 2, 2)) == 1
+
+
+def test_milnor_signature_one_large_axis():
+    # box 2^4 * 1048579 is far below the default budget, but the large axis
+    # alone makes one half of 1048578 points: that half is walked, not
+    # stored.  Every sum is 2 + x/a with 0 < x/a < 1, so sigma = a - 1.
+    a = 1048579
+    assert milnor_signature_dim7((2, 2, 2, 2, a)) == a - 1
 
 
 def test_milnor_signature_guards():

@@ -4,22 +4,31 @@ These are identities that should hold on *every* admissible exponent
 vector, not just the worked examples pinned elsewhere: permutation
 invariance, parity and sign of the principal index, agreement of the two
 orbifold Euler characteristic computations, and agreement of the
-rank-table Euler average with the closed-form mean Euler characteristic.
+rank-table Euler average with the closed-form mean Euler characteristic,
+and agreement of the meet-in-the-middle lattice counts (signature, moduli,
+perturbations) with their direct oracles.
 """
 
+import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from brieskorn import (
+    BudgetExceeded,
     chi_s1,
+    count_perturbation_monomials,
+    count_weighted_monomials,
     is_homotopy_sphere,
     is_rational_homology_sphere,
     make_link,
     mean_euler,
     mean_euler_from_ranks,
     middle_betti,
+    milnor_signature_dim7,
+    moduli_dimension,
     period_spectrum,
     phi,
     principal_index,
@@ -29,6 +38,7 @@ from brieskorn import (
     strata,
     sylvester_sequence,
 )
+from test_homology import sig_by_fractions
 
 SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -134,3 +144,47 @@ def test_sylvester_pairwise_coprime(n):
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
             assert math.gcd(seq[i], seq[j]) == 1
+
+
+box_vectors_5 = (
+    st.lists(st.integers(2, 12), min_size=5, max_size=5)
+    .map(tuple)
+    .filter(lambda v: math.prod(v) <= 3000)
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(box_vectors_5)
+def test_signature_kernel_matches_fraction_oracle(vec):
+    assert milnor_signature_dim7(vec) == sig_by_fractions(vec)
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 12), min_size=3, max_size=5).map(tuple))
+def test_moduli_counts_match_weighted_monomial_dp(vec):
+    link = make_link(vec)
+    report = moduli_dimension(link)
+    w = link.weights
+    assert report.h0_degree == count_weighted_monomials(w, link.degree)
+    assert report.h0_weight_sum == sum(count_weighted_monomials(w, x) for x in w)
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 9), min_size=3, max_size=4).map(tuple))
+def test_perturbation_count_matches_brute_force(vec):
+    link = make_link(vec)
+    brute = sum(
+        1
+        for b in itertools.product(*(range(a) for a in vec))
+        if sum(bj * wj for bj, wj in zip(b, link.weights)) == link.degree
+    )
+    assert count_perturbation_monomials(link) == brute
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 7), min_size=5, max_size=5).map(tuple))
+def test_signature_budget_edge(vec):
+    box = math.prod(vec)
+    assert milnor_signature_dim7(vec, budget=box) == sig_by_fractions(vec)
+    with pytest.raises(BudgetExceeded):
+        milnor_signature_dim7(vec, budget=box - 1)
