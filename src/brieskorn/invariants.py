@@ -37,8 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from .errors import (
+    BudgetExceeded,
     InternalInconsistency,
     NotLacunary,
     NotMorseBottCover,
@@ -48,6 +51,8 @@ from .errors import (
 from .homology import quotient_betti
 from .linkmodel import (
     LinkProfile,
+    Stratum,
+    _stratum_periods,
     index_set,
     make_link,
     period_spectrum,
@@ -91,20 +96,22 @@ class IndexReport:
     shift: int
 
 
-def _raw_maslov(link, total_period):
-    """mu at total period t, labeled by I_t.  Assumes Morse-Bott (checked
-    by callers where the period is not automatically its own I-set lcm)."""
+def _shift(link, stratum, total_period):
+    """Grading shift mu(t) - (dim Sigma - 1)/2 of ``stratum`` at period t.
+
+    Needs I_t to be the stratum's index set.  Inside it the floors are exact,
+    so mu(t) = 2 * sum_j floor(t/a_j) + #{j outside} - 2t.
+    """
     a = link.exponents
-    idx = index_set(link, total_period)
-    inside = sum(total_period // a[j] for j in idx)
-    outside_floor = 0
-    outside_count = 0
-    for j in range(len(a)):
-        if j not in idx:
-            outside_floor += total_period // a[j]
-            outside_count += 1
-    mu = 2 * inside + 2 * outside_floor + outside_count - 2 * total_period
-    return mu, idx
+    t = total_period
+    outside = len(a) - len(stratum.exponents)
+    mu = 2 * (sum(map(t.__floordiv__, a)) - t) + outside
+    shift = mu - (stratum.dim - 1) // 2
+    if (shift - len(a)) % 2:
+        raise InternalInconsistency(
+            f"shift parity violated at period {t} of {a}: shift {shift}"
+        )
+    return shift
 
 
 def maslov_index(link, period, cover=1):
@@ -142,18 +149,19 @@ def maslov_index(link, period, cover=1):
                 f"cover {cover} of period {period} has total period {total} "
                 f"divisible by exponent a_{j} = {aj} outside the stratum"
             )
-    mu, idx_total = _raw_maslov(link, total)
-    if idx_total != idx:
-        raise InternalInconsistency(
-            f"index set changed between period {period} and cover {total}"
-        )
-    dim = 2 * len(idx) - 3
+    stratum = Stratum(
+        index_set=idx,
+        exponents=tuple(link.exponents[j] for j in sorted(idx)),
+        min_period=period,
+        dim=2 * len(idx) - 3,
+    )
+    shift = _shift(link, stratum, total)
     return IndexReport(
         period=period,
         cover=cover,
-        maslov=mu,
-        stratum_dim=dim,
-        shift=mu - (dim - 1) // 2,
+        maslov=shift + (stratum.dim - 1) // 2,
+        stratum_dim=stratum.dim,
+        shift=shift,
     )
 
 
@@ -242,17 +250,6 @@ class MeanEuler:
     value: Fraction
 
 
-def _stratum_shift(link, stratum):
-    report = maslov_index(link, stratum.min_period)
-    n = len(link.exponents) - 1
-    if (report.shift - (n - 1)) % 2:
-        raise InternalInconsistency(
-            f"shift parity violated at period {stratum.min_period} of "
-            f"{link.exponents}: shift {report.shift}, n-1 = {n - 1}"
-        )
-    return report.shift
-
-
 def mean_euler(link):
     """Mean Euler characteristic of the link's contact structure.
 
@@ -277,8 +274,7 @@ def mean_euler(link):
     numerator = 0
     for i, s in enumerate(st):
         count = phi(s.min_period, periods[i + 1 :], link.degree)
-        shift = _stratum_shift(link, s)
-        sign = -1 if shift % 2 else 1
+        sign = -1 if _shift(link, s, s.min_period) % 2 else 1
         numerator += sign * count * quotient_betti(s.exponents).chi
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
@@ -326,35 +322,28 @@ class GradedRanks:
         }
 
 
-def _block0_columns(link):
-    """Columns of the first action block (periods T <= principal period).
+# Most candidate periods (plus window degrees) one page or one spectrum sum
+# may walk.
+_MAX_PAGE_WORK = 1 << 24
 
-    Returns (entries, mu_P, principal_period) where each entry is
-    (period, stratum, shift, betti_ranks).  Later blocks are translates:
-    period + m*T_P carries shift + m*mu_P with the same Betti vector.
+
+def _ordinal_terms(link, t_max):
+    """Tuples (L...), (c...) with #{1 <= T <= t : |I_T| >= 2} = sum c*(t//L).
+
+    For a set of k indices, sum over its subsets S with |S| >= 2 of
+    (-1)^|S| (|S| - 1) is 1 when k >= 2 and 0 otherwise, so the count is an
+    inclusion-exclusion over exponent subsets, grouped by L = lcm(a_S) and
+    kept for L <= t_max (the rest contribute 0 for t <= t_max).
     """
-    link = _as_link(link)
-    spectrum = period_spectrum(link)
-    betti_cache = {}
-    n = len(link.exponents) - 1
-    entries = []
-    for t, stratum in spectrum.entries:
-        mu, idx = _raw_maslov(link, t)
-        if idx != stratum.index_set:
-            raise InternalInconsistency(
-                f"spectrum label mismatch at period {t}"
-            )
-        shift = mu - (stratum.dim - 1) // 2
-        if (shift - (n - 1)) % 2:
-            raise InternalInconsistency(
-                f"shift parity violated at period {t} of {link.exponents}"
-            )
-        betti = betti_cache.get(stratum.index_set)
-        if betti is None:
-            betti = quotient_betti(stratum.exponents).ranks
-            betti_cache[stratum.index_set] = betti
-        entries.append((t, stratum, shift, betti))
-    return entries, principal_index(link), spectrum.principal_period
+    a = link.exponents
+    coef = {}
+    for size in range(2, len(a) + 1):
+        for sub in combinations(a, size):
+            l = math.lcm(*sub)
+            if l <= t_max:
+                coef[l] = coef.get(l, 0) + (-1) ** size * (size - 1)
+    coef = {l: c for l, c in coef.items() if c}
+    return tuple(coef), tuple(coef.values())
 
 
 def e1_page(link, k_lo, k_hi):
@@ -363,9 +352,17 @@ def e1_page(link, k_lo, k_hi):
     Column p > 0 is the p-th period in the spectrum (ordered by action);
     the column of a stratum traversed with period T contributes the
     quotient's Betti vector at total degrees shift(T), shift(T)+1, ...,
-    shift(T) + 2q.  Degrees below every column (p <= 0) vanish.  The page is
-    assembled for one action block and translated by (+T_P, +mu_P) for later
-    blocks, which is exact because I_{T+T_P} = I_T.
+    shift(T) + 2q.  Degrees below every column (p <= 0) vanish.
+
+    Only columns that can meet [k_lo-1, k_hi+1] are built.  A column of
+    period T spans degrees within n - 1 of T * mu_P / d, which bounds T to
+    an interval; each stratum walks its multiples there, skipping those an
+    outside exponent divides (they belong to a bigger stratum).  A column's
+    ordinal, its rank in the spectrum, is counted by inclusion-exclusion.
+    The cost therefore grows with the candidate periods, about
+    (k_hi - k_lo + 2n) * d / |mu_P| * sum 1/T_i over the strata, not with
+    d alone.  When these plus the degrees of the window exceed 2^24,
+    BudgetExceeded is raised before anything is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
     whose degree span meets [k_lo-1, k_hi+1].
@@ -375,65 +372,73 @@ def e1_page(link, k_lo, k_hi):
         raise PreconditionFailed(
             f"empty degree window [{k_lo}, {k_hi}]"
         )
-    entries, mu_p, t_p = _block0_columns(link)
+    st = strata(link)
+    mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero; the page does "
             "not stabilize degree-wise"
         )
     lo_m, hi_m = k_lo - 1, k_hi + 1
-    shifts = [e[2] for e in entries]
-    spans = [e[2] + len(e[3]) - 1 for e in entries]
-    if mu_p > 0:
-        block_count = max(0, (hi_m - min(shifts)) // mu_p) + 1
-    else:
-        block_count = max(0, (lo_m - max(spans)) // mu_p) + 1
+    n = len(link.exponents) - 1
+    d = link.degree
+    # shift(T) = T*mu_P/d + c with c in [1-n, n+3-2|I|], and a column spans
+    # 2|I|-4 degrees past its shift: so every degree lies within n-1 of
+    # T*mu_P/d, and [lo, hi] below bounds T*mu_P.
+    lo, hi = (lo_m - n + 1) * d, (hi_m + n - 1) * d
+    if mu_p < 0:
+        lo, hi = hi, lo
+    t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
+    work = k_hi - k_lo + 1 + sum(
+        max(0, t_hi // s.min_period - (t_lo - 1) // s.min_period) for s in st
+    )
+    if work > _MAX_PAGE_WORK:
+        raise BudgetExceeded(
+            f"first page of {link.exponents} in degrees [{k_lo}, {k_hi}] "
+            f"needs {work} degrees and candidate periods, over "
+            f"{_MAX_PAGE_WORK}"
+        )
+    found = []
+    for s in st:
+        span = 2 * len(s.exponents) - 4
+        betti = None
+        for t in _stratum_periods(link, s, t_lo, t_hi):
+            shift = _shift(link, s, t)
+            if shift > hi_m or shift + span < lo_m:
+                continue
+            if betti is None:
+                betti = quotient_betti(s.exponents).ranks
+            found.append((t, s, shift, betti))
+    found.sort(key=lambda e: e[0])
+    lcms, coefs = _ordinal_terms(link, t_hi)
     ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
     columns = []
-    occupied = []  # (ordinal, degree) pairs with nonzero rank in margins
-    width = len(entries)
-    for m in range(block_count):
-        dshift = m * mu_p
-        for i, (t, stratum, shift, betti) in enumerate(entries):
-            s = shift + dshift
-            if s > hi_m or s + len(betti) - 1 < lo_m:
-                continue
-            ordinal = m * width + i + 1
-            for l, b in enumerate(betti):
-                if not b:
-                    continue
-                k = s + l
-                if lo_m <= k <= hi_m:
-                    occupied.append((ordinal, k))
+    first, last = {}, {}  # per margin degree, the first and last column in it
+    for t, s, shift, betti in found:
+        ordinal = sum(map(mul, coefs, map(t.__floordiv__, lcms)))
+        for k, b in enumerate(betti, shift):
+            if b and lo_m <= k <= hi_m:
+                first.setdefault(k, ordinal)
+                last[k] = ordinal
                 if k_lo <= k <= k_hi:
                     ranks[k] += b
-            columns.append(
-                PageColumn(
-                    ordinal=ordinal,
-                    period=t + m * t_p,
-                    cover=(t + m * t_p) // stratum.min_period,
-                    exponents=stratum.exponents,
-                    shift=s,
-                    ranks=betti,
-                )
+        columns.append(
+            PageColumn(
+                ordinal=ordinal,
+                period=t,
+                cover=t // s.min_period,
+                exponents=s.exponents,
+                shift=shift,
+                ranks=betti,
             )
-    lacunary = True
-    min_col = {}
-    max_col = {}
-    for ordinal, k in occupied:
-        min_col[k] = min(min_col.get(k, ordinal), ordinal)
-        max_col[k] = max(max_col.get(k, ordinal), ordinal)
-    for k in max_col:
-        if k - 1 in min_col and min_col[k - 1] < max_col[k]:
-            lacunary = False
-            break
+        )
     return GradedRanks(
         k_lo=k_lo,
         k_hi=k_hi,
         ranks=ranks,
         period_degree=mu_p,
-        period_action=t_p,
-        lacunary=lacunary,
+        period_action=d,
+        lacunary=all(first.get(k - 1, o) >= o for k, o in last.items()),
         columns=tuple(columns),
     )
 
@@ -448,6 +453,9 @@ def sh_plus_ranks(link, k_lo, k_hi):
     with positive middle rank (a curve of positive genus, say) inject
     odd-degree classes, so non-lacunary pages do occur -- (2,7,7,7) is one.
 
+    The cost follows the periods whose columns can meet the window, as in
+    :func:`e1_page`, and BudgetExceeded is raised when they are too many.
+
     >>> sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0).ranks
     {0: 6}
     """
@@ -460,10 +468,13 @@ def mean_euler_from_ranks(link, strict=False):
     Uses the (T_P, mu_P)-periodicity of the page: past the degrees touched
     by the first action block, the rank profile repeats with degree period
     mu_P, so the alternating sum over one stable window of width |mu_P|,
-    divided by |mu_P|, equals the mean Euler characteristic.  The window is
-    placed just above the first block's degree support for mu_P > 0 and just
-    below it for mu_P < 0.  Independent of :func:`mean_euler` (no phi
-    counts), which makes the agreement of the two a strong cross-check.
+    divided by |mu_P|, equals the mean Euler characteristic.  That window
+    holds every column of the first block exactly once, translated by some
+    multiple of mu_P (even), so the sum is read off the first block's
+    columns as sum (-1)^shift * chi.  Independent of :func:`mean_euler`
+    (no phi counts), which makes the agreement of the two a strong
+    cross-check.  The cost is one pass over the period spectrum, sum d/T_i
+    over the strata; past 2^24 periods BudgetExceeded is raised up front.
 
     In the lacunary case the first-page ranks are the homology ranks, so
     this is literally the defining average.  When the page is not lacunary
@@ -471,33 +482,54 @@ def mean_euler_from_ranks(link, strict=False):
     over a stable period is still exact: differentials cancel in pairs of
     adjacent degrees, and by periodicity the pairs straddling the window
     boundary balance.  Pass ``strict=True`` to demand the certified reading
-    and get NotLacunary when the stable window fails the check.
+    and get NotLacunary when the stable window fails the check.  Only then
+    is the page built, on the stable window, which lies just above the
+    first block's degree support for mu_P > 0 and just below it for
+    mu_P < 0.
 
     >>> mean_euler_from_ranks(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
     """
     link = _as_link(link)
-    entries, mu_p, _ = _block0_columns(link)
+    st = strata(link)
+    mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    tops = [shift + len(betti) - 1 for (_, _, shift, betti) in entries]
-    bottoms = [shift for (_, _, shift, _) in entries]
-    width = abs(mu_p)
-    if mu_p > 0:
-        k_lo = max(tops) + 1
-    else:
-        k_lo = min(bottoms) - width
-    k_hi = k_lo + width - 1
-    graded = e1_page(link, k_lo, k_hi)
-    if strict and not graded.lacunary:
-        raise NotLacunary(
-            f"first page of {link.exponents} is not lacunary over the "
-            f"stable window [{k_lo}, {k_hi}]; its ranks are upper bounds, "
-            "call with strict=False for the (still exact) Euler average"
+    work = sum(link.degree // s.min_period for s in st)
+    if work > _MAX_PAGE_WORK:
+        raise BudgetExceeded(
+            f"period spectrum of {link.exponents} has up to {work} entries, "
+            f"over {_MAX_PAGE_WORK}"
         )
+    chi = {s.min_period: quotient_betti(s.exponents).chi for s in st}
+    entries = period_spectrum(link).entries
+    shifts = [_shift(link, s, t) for t, s in entries]
     alternating = sum(
-        (v if k % 2 == 0 else -v) for k, v in graded.ranks.items()
+        -chi[s.min_period] if shift % 2 else chi[s.min_period]
+        for shift, (_, s) in zip(shifts, entries)
     )
+    width = abs(mu_p)
+    if strict:
+        if mu_p > 0:
+            k_lo = 1 + max(
+                shift + 2 * len(s.exponents) - 4
+                for shift, (_, s) in zip(shifts, entries)
+            )
+        else:
+            k_lo = min(shifts) - width
+        graded = e1_page(link, k_lo, k_lo + width - 1)
+        if not graded.lacunary:
+            raise NotLacunary(
+                f"first page of {link.exponents} is not lacunary over the "
+                f"stable window [{k_lo}, {k_lo + width - 1}]; its ranks are "
+                "upper bounds, call with strict=False for the (still exact) "
+                "Euler average"
+            )
+        if sum((-1) ** k * v for k, v in graded.ranks.items()) != alternating:
+            raise InternalInconsistency(
+                f"stable-window ranks of {link.exponents} do not sum to the "
+                "first block's alternating column sum"
+            )
     return MeanEuler(value=Fraction(alternating, width))

@@ -229,27 +229,36 @@ class PeriodSpectrum:
     principal_period: int
 
 
+def _stratum_periods(link, stratum, start, stop):
+    """The periods in [start, stop] labelled by ``stratum``, in order.
+
+    They are the multiples of its minimal period that no exponent outside
+    the stratum divides: for those, and only those, I_T is its index set.
+    """
+    outside = [
+        a for j, a in enumerate(link.exponents) if j not in stratum.index_set
+    ]
+    p = stratum.min_period
+    return (
+        t
+        for t in range(-(-start // p) * p, stop + 1, p)
+        if 0 not in map(t.__mod__, outside)
+    )
+
+
 def period_spectrum(link):
     """Compute the :class:`PeriodSpectrum` of one principal period.
 
-    Built as the union of multiples of the strata minimal periods (never by
-    scanning 1..d, which is hopeless when d is large and the minimal periods
-    are small).
+    Built stratum by stratum from the multiples of its minimal period (never
+    by scanning 1..d, which is hopeless when d is large and the minimal
+    periods are small).  Every period with |I_T| >= 2 is labelled once,
+    because the strata are closed under T -> I_T.
     """
-    st = strata(link)
     d = link.degree
-    by_index_set = {s.index_set: s for s in st}
-    periods = set()
-    for s in st:
-        periods.update(range(s.min_period, d + 1, s.min_period))
-    entries = []
-    for t in sorted(periods):
-        label = by_index_set.get(index_set(link, t))
-        if label is None:
-            raise InternalInconsistency(
-                f"period {t} has index set outside the stratum list"
-            )
-        entries.append((t, label))
+    entries = [
+        (t, s) for s in strata(link) for t in _stratum_periods(link, s, 1, d)
+    ]
+    entries.sort(key=lambda e: e[0])
     return PeriodSpectrum(entries=tuple(entries), principal_period=d)
 
 

@@ -166,6 +166,20 @@ def test_exit_code_budget_oversize_moduli_count():
     assert "Traceback" not in proc.stderr
 
 
+def test_exit_code_budget_oversize_first_page():
+    # mu_P = -2 against d ~ 1e13: degree 0 meets ~1e13 candidate periods,
+    # so the windowed page refuses before walking any
+    proc = subprocess.run(
+        [sys.executable, "-m", "brieskorn.cli", "sh-ranks", "2,3,7,43,1807,3263443",
+         "0", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

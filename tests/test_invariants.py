@@ -1,16 +1,22 @@
 """Indices, phi counts, mean Euler characteristics, and graded rank tables."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from brieskorn import (
+    BudgetExceeded,
+    GradedRanks,
     NotLacunary,
     NotMorseBottCover,
+    PageColumn,
     PreconditionFailed,
     ZeroPrincipalIndex,
     chi_s1,
     e1_page,
+    index_set,
     make_link,
     maslov_index,
     mean_euler,
@@ -18,6 +24,7 @@ from brieskorn import (
     period_spectrum,
     phi,
     principal_index,
+    quotient_betti,
     sh_plus_ranks,
     strata,
 )
@@ -32,6 +39,59 @@ def phi_by_scan(period, exclusions, principal_period):
         1
         for t in range(period, principal_period + 1, period)
         if not any(t % e == 0 for e in exclusions)
+    )
+
+
+def e1_page_by_blocks(link, k_lo, k_hi):
+    """Reference first page: index every period of the first action block,
+    then translate the block by (d, mu_P) until the window is passed."""
+    a = link.exponents
+    mu_p = principal_index(link)
+    betti = {s: quotient_betti(s.exponents).ranks for s in strata(link)}
+    entries = []
+    for t, s in period_spectrum(link).entries:
+        assert index_set(link, t) == s.index_set
+        outside = [aj for j, aj in enumerate(a) if j not in s.index_set]
+        mu = (
+            2 * sum(t // a[j] for j in s.index_set)
+            + sum(2 * (t // aj) + 1 for aj in outside)
+            - 2 * t
+        )
+        shift = mu - (s.dim - 1) // 2
+        entries.append((t, s, shift, betti[s]))
+    lo_m, hi_m = k_lo - 1, k_hi + 1
+    if mu_p > 0:
+        blocks = max(0, (hi_m - min(e[2] for e in entries)) // mu_p) + 1
+    else:
+        top = max(e[2] + len(e[3]) - 1 for e in entries)
+        blocks = max(0, (lo_m - top) // mu_p) + 1
+    ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
+    columns = []
+    occupied = []
+    for m in range(blocks):
+        for i, (t, s, shift, betti) in enumerate(entries):
+            shift += m * mu_p
+            if shift > hi_m or shift + len(betti) - 1 < lo_m:
+                continue
+            ordinal = m * len(entries) + i + 1
+            for l, b in enumerate(betti):
+                if b and lo_m <= shift + l <= hi_m:
+                    occupied.append((ordinal, shift + l))
+                if k_lo <= shift + l <= k_hi:
+                    ranks[shift + l] += b
+            period = t + m * link.degree
+            columns.append(PageColumn(
+                ordinal=ordinal, period=period, cover=period // s.min_period,
+                exponents=s.exponents, shift=shift, ranks=betti,
+            ))
+    first, last = {}, {}
+    for ordinal, k in occupied:
+        first[k] = min(first.get(k, ordinal), ordinal)
+        last[k] = max(last.get(k, ordinal), ordinal)
+    lacunary = all(first.get(k - 1, o) >= o for k, o in last.items())
+    return GradedRanks(
+        k_lo=k_lo, k_hi=k_hi, ranks=ranks, period_degree=mu_p,
+        period_action=link.degree, lacunary=lacunary, columns=tuple(columns),
     )
 
 
@@ -298,3 +358,71 @@ def test_non_lacunary_page_is_flagged():
     g = sh_plus_ranks(make_link((2, 7, 7, 7)), -4, 2)
     assert not g.lacunary
     assert g.ranks[-1] == 30
+
+
+def _oracle_windows(link):
+    """Windows below the first block, straddling it, and well past it."""
+    mu_p = principal_index(link)
+    shifts = [
+        maslov_index(link, s.min_period).shift for s in strata(link)
+    ]
+    low, high = min(shifts), max(shifts) + 2 * len(link.exponents)
+    far = 7 * mu_p + (high if mu_p > 0 else low)
+    return [
+        (low - 9, low - 1), (low - 2, low + 2), (0, 0), (-3, 5),
+        (low, high), (high - 1, high + abs(mu_p)), (far, far + 4),
+    ]
+
+
+def test_windowed_page_matches_full_block_reference():
+    rng = random.Random(20261018)
+    links = [(2, 7, 7, 7), (2, 3, 7, 22), (3, 3, 4, 7), (2, 3, 4, 16),
+             (2, 2, 2, 3, 5), (2, 3, 3, 3, 3), (2, 4, 6, 14, 86, 5)]
+    while len(links) < 40:
+        vec = tuple(rng.randint(2, 24) for _ in range(rng.choice([3, 4, 5])))
+        link = make_link(vec)
+        if principal_index(link) != 0 and link.degree < 3000:
+            links.append(vec)
+    signs = set()
+    for vec in links:
+        link = make_link(vec)
+        signs.add(principal_index(link) > 0)
+        for k_lo, k_hi in _oracle_windows(link):
+            assert e1_page(link, k_lo, k_hi) == e1_page_by_blocks(
+                link, k_lo, k_hi
+            ), (vec, k_lo, k_hi)
+    assert signs == {True, False}
+    assert not e1_page(make_link((2, 7, 7, 7)), -4, 2).lacunary
+
+
+def test_far_window_is_cheap_and_periodic():
+    # mu_P = 20: a window near 10^12 reads the same ranks as its translate
+    # by a multiple of mu_P into the stable range just past the first block
+    link = make_link((2, 3, 7, 22))
+    k = 10**12 + 7
+    t0 = time.monotonic()
+    far = sh_plus_ranks(link, k, k + 3)
+    assert time.monotonic() - t0 < 1
+    near_lo = 100 + k % 20
+    near = sh_plus_ranks(link, near_lo, near_lo + 3)
+    assert [far.ranks[k + i] for i in range(4)] == [
+        near.ranks[near_lo + i] for i in range(4)
+    ]
+    assert far.lacunary == near.lacunary
+    assert sum(far.ranks.values()) > 0
+
+
+def test_page_and_rank_average_refuse_oversize_work():
+    # Sylvester link: mu_P = -2 against d ~ 1e13, so degree 0 meets ~1e13
+    # candidate periods and the spectrum has as many entries
+    sylvester = make_link((2, 3, 7, 43, 1807, 3263443))
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        e1_page(sylvester, 0, 0)
+    with pytest.raises(BudgetExceeded):
+        mean_euler_from_ranks(sylvester)
+    # few periods, but a window of 2^24 degrees is refused before its table
+    # of ranks is allocated
+    with pytest.raises(BudgetExceeded):
+        e1_page(make_link((5, 23, 27, 28, 29)), 0, 1 << 24)
+    assert time.monotonic() - t0 < 1

@@ -5,6 +5,7 @@ vector, not just the worked examples pinned elsewhere: permutation
 invariance, parity and sign of the principal index, agreement of the two
 orbifold Euler characteristic computations, and agreement of the
 rank-table Euler average with the closed-form mean Euler characteristic,
+agreement of the windowed first page with the full-block reference,
 and agreement of the meet-in-the-middle lattice counts (signature, moduli,
 perturbations) with their direct oracles.
 """
@@ -21,6 +22,7 @@ from brieskorn import (
     chi_s1,
     count_perturbation_monomials,
     count_weighted_monomials,
+    e1_page,
     is_homotopy_sphere,
     is_rational_homology_sphere,
     make_link,
@@ -39,6 +41,7 @@ from brieskorn import (
     sylvester_sequence,
 )
 from test_homology import sig_by_fractions
+from test_invariants import e1_page_by_blocks
 
 SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -115,6 +118,17 @@ def test_rank_average_agrees_with_closed_form(vec):
     if principal_index(link) == 0:
         return
     assert mean_euler_from_ranks(link).value == mean_euler(link).value
+
+
+@SETTINGS
+@given(exponent_vectors, st.integers(-60, 60), st.integers(0, 8))
+def test_windowed_page_matches_full_block_reference(vec, k_lo, width):
+    link = make_link(vec)
+    if principal_index(link) == 0:
+        return
+    assert e1_page(link, k_lo, k_lo + width) == e1_page_by_blocks(
+        link, k_lo, k_lo + width
+    )
 
 
 @SETTINGS
