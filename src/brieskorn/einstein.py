@@ -14,8 +14,9 @@ The three are combined into a single verdict (Exists / Obstructed / Unknown)
 by :func:`se_status`.  The moduli side counts weighted-homogeneous monomials:
 the Kuranishi-style dimension h^0(O(d)) - sum_i h^0(O(w_i)) and the number
 of admissible perturbation monomials z^b with 0 <= b_j < a_j of weighted
-degree d, counted by meeting in the middle.  For some links the two
-counts disagree in the literature; both are always reported side by side.
+degree d, counted by meeting in the middle; h^0(O(d)) is the latter plus the
+n + 1 pure powers z_j^{a_j}, the only ones of degree d with some b_j = a_j.
+For some links the two counts disagree in the literature; both are reported.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .homology import _lattice_halves
-from .linkmodel import LinkProfile, make_link, sylvester_sequence
+from .linkmodel import _as_link, make_link, sylvester_sequence
 
 __all__ = [
     "SEVerdict",
@@ -48,12 +49,6 @@ __all__ = [
     "moduli_dimension",
     "sylvester_numerator",
 ]
-
-
-def _as_link(link_or_exponents):
-    if isinstance(link_or_exponents, LinkProfile):
-        return link_or_exponents
-    return make_link(link_or_exponents)
 
 
 def _require_surface_dim(link):
@@ -305,8 +300,10 @@ class ModuliReport:
 def moduli_dimension(link):
     """Compute the :class:`ModuliReport` of a link.
 
-    h^0(O(d)) counts b with 0 <= b_j <= a_j, sum b_j w_j = d, and h^0(O(w_i))
-    b with 0 <= b_j <= w_i / w_j, sum b_j w_j = w_i; both met in the middle.
+    h^0(O(d)) = perturbation_count + n + 1: of the b with 0 <= b_j <= a_j and
+    sum b_j w_j = d, one with some b_j = a_j has b_j w_j = d already, so it is
+    one of the n + 1 pure powers; the rest are the perturbations.  h^0(O(w_i))
+    counts b with 0 <= b_j <= w_i / w_j, sum b_j w_j = w_i, met in the middle.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)
@@ -315,7 +312,8 @@ def moduli_dimension(link):
     link = _as_link(link)
     _require_surface_dim(link)
     w = link.weights
-    h0_d = _count_exact(w, [range(a + 1) for a in link.exponents], link.degree)
+    perturbations = count_perturbation_monomials(link)
+    h0_d = perturbations + len(w)
     h0_w = sum(_count_exact(w, [range(x // v + 1) for v in w], x) for x in w)
     kuranishi = h0_d - h0_w
     applicable = sum(1 for a in link.exponents if a == 2) <= 1
@@ -328,7 +326,7 @@ def moduli_dimension(link):
         h0_degree=h0_d,
         h0_weight_sum=h0_w,
         kuranishi_dim=kuranishi,
-        perturbation_count=count_perturbation_monomials(link),
+        perturbation_count=perturbations,
     )
 
 

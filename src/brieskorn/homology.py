@@ -8,7 +8,7 @@ by an inclusion-exclusion formula over subsets of the exponents (equivalently
 by counting monodromy eigenvalue-one lattice points, which the tests use as
 an independent oracle).  The S^1-quotient (a weighted projective complete
 intersection) has Betti numbers obtained from the middle rank via the Gysin
-sequence.
+sequence.  The classifiers take an exponent vector or a LinkProfile.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     NotDim7,
     PreconditionFailed,
 )
-from .linkmodel import make_link
+from .linkmodel import _as_link, _checked_exponents, make_link
 
 __all__ = [
     "middle_betti",
@@ -63,17 +63,17 @@ def middle_betti(exponents):
     >>> middle_betti((2, 4))
     1
     """
-    a = make_link(exponents).exponents
+    return _middle_betti(_as_link(exponents).exponents)
+
+
+def _middle_betti(a):
+    """:func:`middle_betti` of an already validated exponent tuple."""
     n1 = len(a)
     total = 0
     for size in range(n1 + 1):
         sign = -1 if (n1 - size) % 2 else 1
         for subset in combinations(a, size):
-            if subset:
-                p = math.prod(subset)
-                l = math.lcm(*subset)
-            else:
-                p = l = 1
+            p, l = math.prod(subset), math.lcm(*subset)  # 1, 1 when empty
             if p % l:
                 raise InternalInconsistency(
                     f"lcm {l} does not divide product {p}"
@@ -112,9 +112,13 @@ def quotient_betti(exponents):
     >>> quotient_betti((2, 2, 3, 3)).ranks
     (1, 0, 3, 0, 1)
     """
-    a = make_link(exponents).exponents
+    return _quotient_betti(_as_link(exponents).exponents)
+
+
+def _quotient_betti(a):
+    """:func:`quotient_betti` of an already validated exponent tuple."""
     q = len(a) - 2
-    kappa = middle_betti(a)
+    kappa = _middle_betti(a)
     if q == 0:
         g = math.gcd(*a)
         if kappa != g - 1:
@@ -194,7 +198,7 @@ def is_rational_homology_sphere(exponents):
     >>> is_rational_homology_sphere((2, 3, 3, 9))
     True
     """
-    a = make_link(exponents).exponents
+    a = _as_link(exponents).exponents
     _require_dim5_plus(a, "the rational-homology-sphere criterion")
     comps = _components(a)
     if any(len(c) == 1 for c in comps):
@@ -216,7 +220,7 @@ def is_homotopy_sphere(exponents):
     >>> is_homotopy_sphere((2, 2, 3, 3))
     False
     """
-    a = make_link(exponents).exponents
+    a = _as_link(exponents).exponents
     _require_dim5_plus(a, "the homotopy-sphere criterion")
     comps = _components(a)
     isolated = sum(1 for c in comps if len(c) == 1)
@@ -301,14 +305,15 @@ def diffeo_type_dim5(exponents):
     >>> str(diffeo_type_dim5((2, 3, 5, 31)))
     'Sphere5'
     """
-    a = make_link(exponents).exponents
+    link = _as_link(exponents)
+    a = link.exponents
     if len(a) != 4:
         raise DimensionMismatch(
             f"dim-5 classification needs four exponents, got {len(a)}"
         )
-    kappa = middle_betti(a)
+    kappa = middle_betti(link)
     srt = tuple(sorted(a))
-    if is_homotopy_sphere(a):
+    if is_homotopy_sphere(link):
         if kappa != 0:
             raise InternalInconsistency(
                 f"homotopy sphere {a} has middle rank {kappa}"
@@ -325,7 +330,7 @@ def diffeo_type_dim5(exponents):
         )
     name = _rhs_family_name(srt)
     if name is not None:
-        if not is_rational_homology_sphere(a) or kappa != 0:
+        if not is_rational_homology_sphere(link) or kappa != 0:
             raise InternalInconsistency(
                 f"family {name} member {a} is not a rational homology sphere"
             )
@@ -398,7 +403,7 @@ def milnor_signature_dim7(exponents, budget=10**9):
     >>> milnor_signature_dim7((2, 2, 2, 2, 2))
     1
     """
-    a = make_link(exponents).exponents
+    a = _checked_exponents(exponents)
     if len(a) != 5:
         raise NotDim7(
             f"signature is computed for 7-dimensional links "
@@ -435,12 +440,13 @@ def exotic_class_dim7(exponents, budget=10**9):
     >>> exotic_class_dim7((2, 2, 2, 3, 5))
     1
     """
-    a = make_link(exponents).exponents
+    link = make_link(exponents)
+    a = link.exponents
     if len(a) != 5:
         raise NotDim7(
             f"exotic classes live in dim 7 (five exponents); got {len(a)}"
         )
-    if not is_homotopy_sphere(a):
+    if not is_homotopy_sphere(link):
         raise PreconditionFailed(
             f"{a} is not a homotopy sphere; bP_8 class undefined"
         )

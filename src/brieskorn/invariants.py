@@ -48,10 +48,10 @@ from .errors import (
     PreconditionFailed,
     ZeroPrincipalIndex,
 )
-from .homology import quotient_betti
+from .homology import _quotient_betti, quotient_betti
 from .linkmodel import (
-    LinkProfile,
     Stratum,
+    _as_link,
     _stratum_periods,
     index_set,
     make_link,
@@ -72,12 +72,6 @@ __all__ = [
     "sh_plus_ranks",
     "mean_euler_from_ranks",
 ]
-
-
-def _as_link(link_or_exponents):
-    if isinstance(link_or_exponents, LinkProfile):
-        return link_or_exponents
-    return make_link(link_or_exponents)
 
 
 @dataclass(frozen=True)
@@ -275,7 +269,7 @@ def mean_euler(link):
     for i, s in enumerate(st):
         count = phi(s.min_period, periods[i + 1 :], link.degree)
         sign = -1 if _shift(link, s, s.min_period) % 2 else 1
-        numerator += sign * count * quotient_betti(s.exponents).chi
+        numerator += sign * count * _quotient_betti(s.exponents).chi
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 

@@ -113,17 +113,8 @@ class LinkProfile:
         return canonical_exponents(self.exponents)
 
 
-def make_link(exponents):
-    """Validate an exponent vector and compute its :class:`LinkProfile`.
-
-    Every entry must be an integer >= 2 and there must be at least two of
-    them.  (Classifiers and Reeb-orbit machinery impose stronger dimension
-    requirements of their own; a two-exponent vector still has a meaningful
-    degree/weight/homology profile.)
-
-    >>> make_link((2, 2, 2, 2)).weights
-    (1, 1, 1, 1)
-    """
+def _checked_exponents(exponents):
+    """``exponents`` as a tuple, after the checks :func:`make_link` makes."""
     exponents = tuple(exponents)
     if len(exponents) < 2:
         raise InvalidExponent(
@@ -134,17 +125,40 @@ def make_link(exponents):
             raise InvalidExponent(f"exponent {a!r} is not an integer")
         if a < 2:
             raise InvalidExponent(f"exponent {a} is below 2")
+    return exponents
+
+
+def make_link(exponents):
+    """Validate an exponent vector and compute its :class:`LinkProfile`.
+
+    Every entry must be an integer >= 2 and there must be at least two of
+    them.  (Classifiers and Reeb-orbit machinery impose stronger dimension
+    requirements of their own; a two-exponent vector still has a meaningful
+    degree/weight/homology profile.)  With d = lcm(a) and w_j = d / a_j,
+    sum 1/a_j = sum w_j / d, so ``recip_sum`` is one Fraction(sum(w), d).
+
+    >>> make_link((2, 2, 2, 2)).weights
+    (1, 1, 1, 1)
+    >>> make_link((2, 3, 4, 16)).recip_sum
+    Fraction(55, 48)
+    """
+    exponents = _checked_exponents(exponents)
     d = math.lcm(*exponents)
     weights = tuple(d // a for a in exponents)
-    n = len(exponents) - 1
-    recip = sum((Fraction(1, a) for a in exponents), Fraction(0))
     return LinkProfile(
         exponents=exponents,
         degree=d,
         weights=weights,
-        link_dim=2 * n - 1,
-        recip_sum=recip,
+        link_dim=2 * len(exponents) - 3,
+        recip_sum=Fraction(sum(weights), d),
     )
+
+
+def _as_link(link_or_exponents):
+    """A :class:`LinkProfile` as it is; an exponent vector via make_link."""
+    if isinstance(link_or_exponents, LinkProfile):
+        return link_or_exponents
+    return make_link(link_or_exponents)
 
 
 def index_set(link, period):

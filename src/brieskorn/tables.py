@@ -43,7 +43,7 @@ from .homology import (
     milnor_signature_dim7,
 )
 from .invariants import mean_euler, principal_index, sh_plus_ranks
-from .linkmodel import canonical_exponents, make_link
+from .linkmodel import _as_link, canonical_exponents, make_link
 
 __all__ = [
     "LinkRecord",
@@ -101,14 +101,15 @@ class LinkRecord:
 
 
 def build_record(exponents, *, sig7_budget=None, with_sh0=False):
-    """Compute a :class:`LinkRecord` for an exponent vector (>= 3 entries).
+    """Compute a :class:`LinkRecord` for an exponent vector (>= 3 entries)
+    or its LinkProfile, which every invariant then shares.
 
     sig7 is computed only when the link is 7-dimensional and ``sig7_budget``
     is given (BudgetExceeded propagates -- the caller chose the budget).
     sh0_rank is the degree-0 equivariant rank, computed when ``with_sh0``
     and mu_P != 0.
     """
-    link = make_link(exponents)
+    link = _as_link(exponents)
     if len(link.exponents) < 3:
         raise DimensionTooLow(
             "records need at least three exponents; "
@@ -119,9 +120,9 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
     n1 = len(link.exponents)
     sphere = rhs = None
     if n1 >= 4:
-        sphere = is_homotopy_sphere(link.exponents)
-        rhs = is_rational_homology_sphere(link.exponents)
-    d5 = diffeo_type_dim5(link.exponents) if n1 == 4 else None
+        sphere = is_homotopy_sphere(link)
+        rhs = is_rational_homology_sphere(link)
+    d5 = diffeo_type_dim5(link) if n1 == 4 else None
     sig7 = None
     if n1 == 5 and sig7_budget is not None:
         sig7 = milnor_signature_dim7(link.exponents, budget=sig7_budget)
@@ -136,7 +137,7 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
         recip_sum=link.recip_sum,
         mu_P=mu_p,
         chi_m=chi_m,
-        middle_rank=middle_betti(link.exponents),
+        middle_rank=middle_betti(link),
         homotopy_sphere=sphere,
         rhs=rhs,
         dim5_type=d5,
@@ -391,14 +392,6 @@ CSV_HEADER = (
 )
 
 
-def _frac_str(f):
-    return str(f)
-
-
-def _parse_frac(s):
-    return Fraction(s)
-
-
 def _bool_cell(b):
     if b is None:
         return ""
@@ -411,7 +404,7 @@ def record_to_csv_row(rec):
         str(rec.dim),
         str(rec.degree),
         str(rec.mu_P),
-        _frac_str(rec.chi_m) if rec.chi_m is not None else "",
+        str(rec.chi_m) if rec.chi_m is not None else "",
         str(rec.middle_rank),
         _bool_cell(rec.homotopy_sphere),
         str(rec.dim5_type) if rec.dim5_type is not None else "",
@@ -450,9 +443,9 @@ def record_to_json_dict(rec):
         "dim": rec.dim,
         "degree": rec.degree,
         "weights": list(rec.weights),
-        "recip_sum": _frac_str(rec.recip_sum),
+        "recip_sum": str(rec.recip_sum),
         "mu_P": rec.mu_P,
-        "chi_m": _frac_str(rec.chi_m) if rec.chi_m is not None else None,
+        "chi_m": str(rec.chi_m) if rec.chi_m is not None else None,
         "middle_rank": rec.middle_rank,
         "homotopy_sphere": rec.homotopy_sphere,
         "rhs": rec.rhs,
@@ -486,9 +479,9 @@ def record_from_json_dict(d):
             dim=d["dim"],
             degree=d["degree"],
             weights=tuple(d["weights"]),
-            recip_sum=_parse_frac(d["recip_sum"]),
+            recip_sum=Fraction(d["recip_sum"]),
             mu_P=d["mu_P"],
-            chi_m=_parse_frac(d["chi_m"]) if d["chi_m"] is not None else None,
+            chi_m=Fraction(d["chi_m"]) if d["chi_m"] is not None else None,
             middle_rank=d["middle_rank"],
             homotopy_sphere=d["homotopy_sphere"],
             rhs=d["rhs"],
@@ -629,20 +622,21 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
     (temp file + rename), so concurrent readers never see a torn file.
     """
     link = make_link(exponents)
-    canon = canonical_exponents(link.exponents)
+    canon = link.canonical
     path = _cache_path(canon)
     if path is None:
-        return build_record(exponents, sig7_budget=sig7_budget, with_sh0=with_sh0)
-    rec = None
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                rec = record_from_json_dict(json.load(fh))
-        except (OSError, SchemaError, json.JSONDecodeError):
-            rec = None
+        return build_record(link, sig7_budget=sig7_budget, with_sh0=with_sh0)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rec = record_from_json_dict(json.load(fh))
+    except (OSError, SchemaError, json.JSONDecodeError):
+        rec = None
     dirty = False
     if rec is None:
-        rec = build_record(canon, sig7_budget=sig7_budget, with_sh0=with_sh0)
+        # w_j = d / a_j, so the sorted exponents take the weights descending
+        w = tuple(sorted(link.weights, reverse=True))
+        canon_link = replace(link, exponents=canon, weights=w)
+        rec = build_record(canon_link, sig7_budget=sig7_budget, with_sh0=with_sh0)
         dirty = True
     else:
         if sig7_budget is not None and rec.sig7 is None and len(canon) == 5:
@@ -651,9 +645,7 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
             )
             dirty = True
         if with_sh0 and rec.sh0_rank is None and rec.mu_P != 0:
-            rec = replace(
-                rec, sh0_rank=sh_plus_ranks(make_link(canon), 0, 0).ranks[0]
-            )
+            rec = replace(rec, sh0_rank=sh_plus_ranks(link, 0, 0).ranks[0])
             dirty = True
     if dirty:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -667,9 +659,5 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
                 os.unlink(tmp)
             raise
     if rec.exponents != link.exponents:
-        rec = replace(
-            rec,
-            exponents=link.exponents,
-            weights=tuple(link.degree // a for a in link.exponents),
-        )
+        rec = replace(rec, exponents=link.exponents, weights=link.weights)
     return rec

@@ -12,6 +12,7 @@ from brieskorn import (
     Dim5Kind,
     DimensionMismatch,
     DimensionTooLow,
+    InvalidExponent,
     NotDim7,
     PreconditionFailed,
     chi_s1,
@@ -19,6 +20,7 @@ from brieskorn import (
     exotic_class_dim7,
     is_homotopy_sphere,
     is_rational_homology_sphere,
+    make_link,
     middle_betti,
     milnor_signature_dim7,
     quotient_betti,
@@ -239,6 +241,31 @@ def test_diffeo_type_needs_four_exponents():
         diffeo_type_dim5((2, 3, 5, 7, 11))
 
 
+CLASSIFIERS = [
+    middle_betti,
+    quotient_betti,
+    is_homotopy_sphere,
+    is_rational_homology_sphere,
+    diffeo_type_dim5,
+]
+
+
+@pytest.mark.parametrize("fn", CLASSIFIERS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("v", [
+    (2, 3, 4, 16), (16, 3, 2, 4), (2, 2, 3, 3), (2, 3, 5, 31), (2, 3, 3, 9),
+    (3, 3, 3, 3),
+])
+def test_classifiers_agree_on_tuple_and_link_profile(fn, v):
+    assert fn(make_link(v)) == fn(v)
+
+
+@pytest.mark.parametrize("fn", CLASSIFIERS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("bad", [(1, 3, 4), (2, 3.0, 4)])
+def test_classifiers_still_check_plain_tuples(fn, bad):
+    with pytest.raises(InvalidExponent):
+        fn(bad)
+
+
 def sig_by_fractions(exponents):
     """Signature oracle with Fraction arithmetic instead of modular tables."""
     from fractions import Fraction
@@ -280,6 +307,9 @@ def test_milnor_signature_guards():
         milnor_signature_dim7((2, 3, 4, 16))
     with pytest.raises(BudgetExceeded):
         milnor_signature_dim7((2, 2, 2, 3, 5), budget=10)
+    for bad in [(1, 2, 2, 3, 5), (2, 2, 2, 3, 5.0)]:
+        with pytest.raises(InvalidExponent):
+            milnor_signature_dim7(bad)
 
 
 def test_exotic_class():

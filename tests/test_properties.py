@@ -13,6 +13,7 @@ perturbations) with their direct oracles.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,12 @@ def test_moduli_counts_match_weighted_monomial_dp(vec):
     w = link.weights
     assert report.h0_degree == count_weighted_monomials(w, link.degree)
     assert report.h0_weight_sum == sum(count_weighted_monomials(w, x) for x in w)
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 60), min_size=2, max_size=7).map(tuple))
+def test_recip_sum_is_the_sum_of_reciprocals(vec):
+    assert make_link(vec).recip_sum == sum(Fraction(1, x) for x in vec)
 
 
 @SETTINGS

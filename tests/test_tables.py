@@ -22,6 +22,8 @@ from brieskorn import (
     import_records,
     parse_sweep_spec,
 )
+from brieskorn import einstein, homology, invariants, linkmodel, tables
+from brieskorn.linkmodel import LinkProfile
 from brieskorn.tables import CSV_HEADER
 
 
@@ -48,6 +50,24 @@ def test_build_record_optional_fields():
     assert rec7.sig7 == 8
     assert rec7.dim == 7
     assert rec7.dim5_type is None
+
+
+@pytest.mark.parametrize("v, kwargs", [
+    ((2, 3, 4, 16), {}),
+    ((2, 2, 2, 3, 5), {"sig7_budget": 10**6}),
+])
+def test_build_record_constructs_one_link_profile(monkeypatch, v, kwargs):
+    built = []
+    init = LinkProfile.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(kw["exponents"])
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(LinkProfile, "__init__", counting_init)
+    rec = build_record(v, **kwargs)
+    assert built == [v]
+    assert rec.sig7 == (8 if kwargs else None)
 
 
 def test_build_record_zero_index_has_no_chi_m():
@@ -296,13 +316,32 @@ def test_cached_record_round_trip(tmp_path, monkeypatch):
     ]
     assert len(files) == 1 and files[0].endswith("2-3-4-16.json")
     # cached copy stores the canonical record
-    stored = json.load(open(files[0]))
+    with open(files[0]) as fh:
+        stored = json.load(fh)
     assert stored["exponents"] == [2, 3, 4, 16]
     # a later request enriches the same file instead of recomputing from zero
     second = cached_record((2, 3, 4, 16), with_sh0=True)
     assert second.sh0_rank is not None
-    stored = json.load(open(files[0]))
+    with open(files[0]) as fh:
+        stored = json.load(fh)
     assert stored["sh0_rank"] == second.sh0_rank
+
+
+def test_cached_record_makes_one_link_per_call(tmp_path, monkeypatch):
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    calls = []
+    make_link = linkmodel.make_link
+
+    def counting_make_link(exponents):
+        calls.append(tuple(exponents))
+        return make_link(exponents)
+
+    for module in (linkmodel, homology, invariants, einstein, tables):
+        monkeypatch.setattr(module, "make_link", counting_make_link)
+    cold = cached_record((16, 3, 2, 4))  # miss: builds the canonical record
+    warm = cached_record((16, 3, 2, 4))  # hit: reads it back
+    assert calls == [(16, 3, 2, 4)] * 2
+    assert cold == warm == build_record((16, 3, 2, 4))
 
 
 def test_cached_record_survives_corruption(tmp_path, monkeypatch):
