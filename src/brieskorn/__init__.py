@@ -36,7 +36,6 @@ from .errors import (
     InternalInconsistency,
     InvalidExponent,
     InvalidInstance,
-    NotDim7,
     NotLacunary,
     NotMorseBottCover,
     PreconditionFailed,
@@ -120,7 +119,6 @@ __all__ = [
     "InvalidExponent",
     "DimensionTooLow",
     "DimensionMismatch",
-    "NotDim7",
     "InvalidInstance",
     "PreconditionFailed",
     "ZeroPrincipalIndex",

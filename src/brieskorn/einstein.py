@@ -246,12 +246,6 @@ def count_weighted_monomials(weights, degree):
     return table[degree]
 
 
-def _count_exact(w, box, target):
-    """#{ b : b_j in box[j], sum b_j w_j = target }, met in the middle."""
-    kept, other = _lattice_halves(w, box, target=target)
-    return sum(count * kept.get(target - s, 0) for s, count in other)
-
-
 def count_perturbation_monomials(link):
     """Number of monomials z^b of weighted degree d with 0 <= b_j < a_j.
 
@@ -265,7 +259,9 @@ def count_perturbation_monomials(link):
     0
     """
     link = _as_link(link)
-    return _count_exact(link.weights, map(range, link.exponents), link.degree)
+    w, d = link.weights, link.degree
+    kept, other = _lattice_halves(w, map(range, link.exponents), target=d)
+    return sum(n * kept.get(d - s, 0) for s, n in other)
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,9 @@ def moduli_dimension(link):
     h^0(O(d)) = perturbation_count + n + 1: of the b with 0 <= b_j <= a_j and
     sum b_j w_j = d, one with some b_j = a_j has b_j w_j = d already, so it is
     one of the n + 1 pure powers; the rest are the perturbations.  h^0(O(w_i))
-    counts b with 0 <= b_j <= w_i / w_j, sum b_j w_j = w_i, met in the middle.
+    counts b >= 0 with sum b_j w_j = w_i; one kernel call over the box
+    0 <= b_j <= max(w) / w_j answers every w_i at once, each (sum, count) of
+    one half meeting the other half's count at w_i - sum.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)
@@ -314,7 +312,10 @@ def moduli_dimension(link):
     w = link.weights
     perturbations = count_perturbation_monomials(link)
     h0_d = perturbations + len(w)
-    h0_w = sum(_count_exact(w, [range(x // v + 1) for v in w], x) for x in w)
+    top = max(w)
+    box = [range(top // v + 1) for v in w]
+    kept, other = _lattice_halves(w, box, target=top)
+    h0_w = sum(n * sum(kept.get(x - s, 0) for x in w) for s, n in other)
     kuranishi = h0_d - h0_w
     applicable = sum(1 for a in link.exponents if a == 2) <= 1
     if applicable and kuranishi < 0:

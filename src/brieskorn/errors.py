@@ -31,11 +31,7 @@ class DimensionTooLow(ValidationError):
 
 
 class DimensionMismatch(ValidationError):
-    """Operation requires a specific link dimension (e.g. five)."""
-
-
-class NotDim7(ValidationError):
-    """Signature computations need a 7-dimensional link (five exponents)."""
+    """Operation requires a specific link dimension (e.g. 5 or 7)."""
 
 
 class InvalidInstance(ValidationError):

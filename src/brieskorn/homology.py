@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLow,
     InternalInconsistency,
-    NotDim7,
     PreconditionFailed,
 )
 from .linkmodel import _as_link, _checked_exponents, make_link
@@ -63,11 +63,14 @@ def middle_betti(exponents):
     >>> middle_betti((2, 4))
     1
     """
-    return _middle_betti(_as_link(exponents).exponents)
+    return _middle_betti(_as_link(exponents).canonical)
 
 
+@lru_cache(maxsize=256)
 def _middle_betti(a):
-    """:func:`middle_betti` of an already validated exponent tuple."""
+    """:func:`middle_betti` of a validated tuple, memoised.  It and
+    :func:`_quotient_betti` are permutation invariant: callers key both on
+    the sorted tuple, and census neighbours share sub-multisets."""
     n1 = len(a)
     total = 0
     for size in range(n1 + 1):
@@ -112,11 +115,12 @@ def quotient_betti(exponents):
     >>> quotient_betti((2, 2, 3, 3)).ranks
     (1, 0, 3, 0, 1)
     """
-    return _quotient_betti(_as_link(exponents).exponents)
+    return _quotient_betti(_as_link(exponents).canonical)
 
 
+@lru_cache(maxsize=256)
 def _quotient_betti(a):
-    """:func:`quotient_betti` of an already validated exponent tuple."""
+    """:func:`quotient_betti` of a validated, sorted tuple, memoised."""
     q = len(a) - 2
     kappa = _middle_betti(a)
     if q == 0:
@@ -405,7 +409,7 @@ def milnor_signature_dim7(exponents, budget=10**9):
     """
     a = _checked_exponents(exponents)
     if len(a) != 5:
-        raise NotDim7(
+        raise DimensionMismatch(
             f"signature is computed for 7-dimensional links "
             f"(five exponents); got {len(a)}"
         )
@@ -443,7 +447,7 @@ def exotic_class_dim7(exponents, budget=10**9):
     link = make_link(exponents)
     a = link.exponents
     if len(a) != 5:
-        raise NotDim7(
+        raise DimensionMismatch(
             f"exotic classes live in dim 7 (five exponents); got {len(a)}"
         )
     if not is_homotopy_sphere(link):

@@ -50,8 +50,8 @@ from .errors import (
 )
 from .homology import _quotient_betti, quotient_betti
 from .linkmodel import (
-    Stratum,
     _as_link,
+    _lattice_strata,
     _stratum_periods,
     index_set,
     make_link,
@@ -90,17 +90,16 @@ class IndexReport:
     shift: int
 
 
-def _shift(link, stratum, total_period):
-    """Grading shift mu(t) - (dim Sigma - 1)/2 of ``stratum`` at period t.
+def _shift(link, size, total_period):
+    """Grading shift mu(t) - (dim Sigma - 1)/2 at a period t with |I_t| = size.
 
-    Needs I_t to be the stratum's index set.  Inside it the floors are exact,
-    so mu(t) = 2 * sum_j floor(t/a_j) + #{j outside} - 2t.
+    Inside I_t the floors are exact, so mu(t) = 2 * sum_j floor(t/a_j)
+    + #{j outside} - 2t, and (dim Sigma - 1)/2 = size - 2.
     """
     a = link.exponents
     t = total_period
-    outside = len(a) - len(stratum.exponents)
-    mu = 2 * (sum(map(t.__floordiv__, a)) - t) + outside
-    shift = mu - (stratum.dim - 1) // 2
+    mu = 2 * (sum(map(t.__floordiv__, a)) - t) + len(a) - size
+    shift = mu - size + 2
     if (shift - len(a)) % 2:
         raise InternalInconsistency(
             f"shift parity violated at period {t} of {a}: shift {shift}"
@@ -143,18 +142,12 @@ def maslov_index(link, period, cover=1):
                 f"cover {cover} of period {period} has total period {total} "
                 f"divisible by exponent a_{j} = {aj} outside the stratum"
             )
-    stratum = Stratum(
-        index_set=idx,
-        exponents=tuple(link.exponents[j] for j in sorted(idx)),
-        min_period=period,
-        dim=2 * len(idx) - 3,
-    )
-    shift = _shift(link, stratum, total)
+    shift = _shift(link, len(idx), total)
     return IndexReport(
         period=period,
         cover=cover,
-        maslov=shift + (stratum.dim - 1) // 2,
-        stratum_dim=stratum.dim,
+        maslov=shift + len(idx) - 2,
+        stratum_dim=2 * len(idx) - 3,
         shift=shift,
     )
 
@@ -247,10 +240,12 @@ class MeanEuler:
 def mean_euler(link):
     """Mean Euler characteristic of the link's contact structure.
 
-    Sums (-1)^shift * phi * chi^{S^1} over the strata at their minimal
-    periods and divides by |mu_P|.  Exact rational arithmetic throughout.
-    Raises ZeroPrincipalIndex when mu_P = 0 (the average does not converge
-    to a finite period-independent value there).
+    Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
+    periods and divides by |mu_P|; E(S) = #{T <= d : I_T = S} is the
+    stratum's :func:`phi`.  The cost is one walk over the 2^(n+1) index
+    subsets, with no phi recursion, plus memoised quotient Betti numbers.
+    Exact rational arithmetic.  Raises ZeroPrincipalIndex when mu_P = 0
+    (the average does not converge to a finite period-independent value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -263,13 +258,12 @@ def mean_euler(link):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    st = strata(link)
-    periods = [s.min_period for s in st]
+    a = link.exponents
     numerator = 0
-    for i, s in enumerate(st):
-        count = phi(s.min_period, periods[i + 1 :], link.degree)
-        sign = -1 if _shift(link, s, s.min_period) % 2 else 1
-        numerator += sign * count * _quotient_betti(s.exponents).chi
+    for idx, t, count in _lattice_strata(link):
+        sign = -1 if _shift(link, len(idx), t) % 2 else 1
+        sub = tuple(sorted(a[j] for j in idx))
+        numerator += sign * count * _quotient_betti(sub).chi
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 
@@ -397,7 +391,7 @@ def e1_page(link, k_lo, k_hi):
         span = 2 * len(s.exponents) - 4
         betti = None
         for t in _stratum_periods(link, s, t_lo, t_hi):
-            shift = _shift(link, s, t)
+            shift = _shift(link, len(s.exponents), t)
             if shift > hi_m or shift + span < lo_m:
                 continue
             if betti is None:
@@ -499,7 +493,7 @@ def mean_euler_from_ranks(link, strict=False):
         )
     chi = {s.min_period: quotient_betti(s.exponents).chi for s in st}
     entries = period_spectrum(link).entries
-    shifts = [_shift(link, s, t) for t, s in entries]
+    shifts = [_shift(link, len(s.exponents), t) for t, s in entries]
     alternating = sum(
         -chi[s.min_period] if shift % 2 else chi[s.min_period]
         for shift, (_, s) in zip(shifts, entries)

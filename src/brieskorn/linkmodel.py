@@ -187,46 +187,52 @@ class Stratum:
     dim: int
 
 
-def _require_three(link, what):
-    if len(link.exponents) < 3:
+def _lattice_strata(link):
+    """(indices, lcm(a_S), E(S)) for each index subset S with |S| >= 2 and
+    E(S) = #{1 <= T <= d : I_T = S} > 0 (the strata), in bit-mask order.
+
+    One walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
+    lcm(lcm of S minus its lowest index j, a_j), and a superset Moebius
+    transform turns #{T : S within I_T} = d / lcm(a_S) into E(S).
+    """
+    a = link.exponents
+    if len(a) < 3:
         raise DimensionTooLow(
-            f"{what} needs a link of dimension >= 3 "
-            f"(at least three exponents); got {len(link.exponents)}"
+            "stratum enumeration needs a link of dimension >= 3 "
+            f"(at least three exponents); got {len(a)}"
         )
+    lcms = [1]  # indexed by the bit mask of S
+    for s in range(1, 1 << len(a)):
+        rest = s & (s - 1)
+        lcms.append(math.lcm(lcms[rest], a[(s ^ rest).bit_length() - 1]))
+    counts = [lcms[-1] // t for t in lcms]
+    for bit in (1 << j for j in range(len(a))):
+        for s in range(len(counts)):
+            if s & bit:
+                counts[s ^ bit] -= counts[s]
+    if lcms[-1] != link.degree or counts[-1] != 1:
+        raise InternalInconsistency("principal stratum missing or misplaced")
+    return [
+        (tuple(j for j in range(len(a)) if s >> j & 1), lcms[s], e)
+        for s, e in enumerate(counts)
+        if e > 0 and s & (s - 1)
+    ]
 
 
 def strata(link):
     """All strata of the Reeb flow, sorted by minimal period.
 
-    Enumerates subsets S of the index set with |S| >= 2, closes each under
-    T = lcm{a_j : j in S} (i.e. replaces S by I_T), and deduplicates.  The
-    last stratum is always the principal one (the whole link, at period d).
-    Distinct strata never share a minimal period, because I_T is a function
-    of T alone.
+    They are the index sets S, |S| >= 2, with S = I_T for some T <= d, each
+    at its minimal period lcm{a_j : j in S}, read off one walk over the
+    2^(n+1) index subsets.  The last is the principal stratum (the whole
+    link, at period d).  Distinct strata never share a minimal period,
+    because I_T is a function of T alone.
     """
-    _require_three(link, "stratum enumeration")
     a = link.exponents
-    found = {}
-    for size in range(2, len(a) + 1):
-        for subset in combinations(range(len(a)), size):
-            t = math.lcm(*(a[j] for j in subset))
-            if t in found:
-                continue
-            idx = index_set(link, t)
-            if not idx.issuperset(subset):  # cannot happen; cheap to check
-                raise InternalInconsistency(
-                    f"I_{t} = {sorted(idx)} does not contain {subset}"
-                )
-            found[t] = Stratum(
-                index_set=idx,
-                exponents=tuple(a[j] for j in sorted(idx)),
-                min_period=t,
-                dim=2 * len(idx) - 3,
-            )
-    out = tuple(sorted(found.values(), key=lambda s: s.min_period))
-    if out[-1].min_period != link.degree or len(out[-1].index_set) != len(a):
-        raise InternalInconsistency("principal stratum missing or misplaced")
-    return out
+    return tuple(
+        Stratum(frozenset(idx), tuple(a[j] for j in idx), t, 2 * len(idx) - 3)
+        for idx, t, _ in sorted(_lattice_strata(link), key=lambda e: e[1])
+    )
 
 
 @dataclass(frozen=True)

@@ -118,11 +118,12 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
     mu_p = principal_index(link)
     chi_m = mean_euler(link).value if mu_p != 0 else None
     n1 = len(link.exponents)
-    sphere = rhs = None
+    sphere = rhs = d5 = None
     if n1 >= 4:
-        sphere = is_homotopy_sphere(link)
+        d5 = diffeo_type_dim5(link) if n1 == 4 else None
+        # the dim-5 classification's first branch is the homotopy-sphere test
+        sphere = d5.kind is Dim5Kind.SPHERE if d5 else is_homotopy_sphere(link)
         rhs = is_rational_homology_sphere(link)
-    d5 = diffeo_type_dim5(link) if n1 == 4 else None
     sig7 = None
     if n1 == 5 and sig7_budget is not None:
         sig7 = milnor_signature_dim7(link.exponents, budget=sig7_budget)

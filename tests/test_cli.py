@@ -1,5 +1,6 @@
 """Command-line behavior: output pins, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -102,6 +103,20 @@ def test_enumerate_stdout_csv(capsys):
     lines = out.splitlines()
     assert len(lines) == 6  # header + 5 records
     assert lines[1].split(";")[0] == "2,2,2,2"
+
+
+def test_enumerate_jsonl_bytes_pin(capsys):
+    # the 495 dim-5 records, pinned byte for byte: every invariant a census
+    # record carries (strata sums, moduli counts, classifiers) shows here
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--dim", "5", "--max-exponent", "10",
+        "--format", "jsonl",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 495
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c9a64b37511146763609454e9e34fbca09270cddb2beb5c053e2f0ebc913811e"
+    )
 
 
 def test_enumerate_out_file(tmp_path, capsys):

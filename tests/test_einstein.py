@@ -1,12 +1,15 @@
 """Sasaki-Einstein existence criteria, moduli counts, and Sylvester numerators."""
 
+import inspect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from brieskorn import (
+    BudgetExceeded,
     CoprimeVerdict,
     PreconditionFailed,
     SEVerdict,
@@ -20,7 +23,7 @@ from brieskorn import (
     se_sufficient,
     sylvester_numerator,
 )
-from brieskorn import homology
+from brieskorn import einstein, homology
 
 
 def test_sufficient_inequalities():
@@ -126,6 +129,61 @@ def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 100)
     assert moduli_dimension(link) == report
     assert count_perturbation_monomials(link) == report.perturbation_count
+
+
+def seeded_moduli_vectors(count=40, seed=11):
+    """3-6 exponents in 2..24 whose degree keeps the h0 DP oracle cheap."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v = tuple(rng.randint(2, 24) for _ in range(rng.randint(3, 6)))
+        if math.lcm(*v) <= 20_000:
+            out.append(v)
+    return out
+
+
+def h0_weight_sum_by_dp(link):
+    return sum(count_weighted_monomials(link.weights, x) for x in link.weights)
+
+
+def test_h0_weight_sum_matches_the_dp():
+    for v in seeded_moduli_vectors():
+        link = make_link(v)
+        assert moduli_dimension(link).h0_weight_sum == h0_weight_sum_by_dp(link)
+
+
+def test_h0_weight_sum_with_a_walked_half(monkeypatch):
+    # all h0(O(w_i)) come from one kernel call, the one with target max(w).
+    # Give that call the smallest key cap it accepts: then the half with
+    # fewer keys is kept and the other is walked (unless both need as many).
+    real, walked = einstein._lattice_halves, []
+
+    def spy(steps, ranges, modulus=None, target=None, walk=1 << 24):
+        if target != max(steps):
+            return real(steps, ranges, modulus, target, walk)
+        saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
+        try:
+            kept, other = real(steps, ranges, modulus, target, walk)
+        finally:
+            homology._MAX_HALF_KEYS = saved
+        walked.append(inspect.isgenerator(other))
+        return kept, other
+
+    monkeypatch.setattr(einstein, "_lattice_halves", spy)
+    hits = 0
+    for v in seeded_moduli_vectors():
+        link = make_link(v)
+        for cap in itertools.count(1):
+            walked.clear()
+            try:
+                report = moduli_dimension(link)
+                break
+            except BudgetExceeded:  # both halves over this cap
+                continue
+        if walked == [True]:
+            assert report.h0_weight_sum == h0_weight_sum_by_dp(link), v
+            hits += 1
+    assert hits >= 30
 
 
 def test_moduli_report():

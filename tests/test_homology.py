@@ -13,7 +13,6 @@ from brieskorn import (
     DimensionMismatch,
     DimensionTooLow,
     InvalidExponent,
-    NotDim7,
     PreconditionFailed,
     chi_s1,
     diffeo_type_dim5,
@@ -122,6 +121,24 @@ def test_middle_betti_known_values():
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (2, 4), (6, 9), (5, 7), (12, 18)])
 def test_middle_betti_connected_sum_rule(p, q):
     assert middle_betti((2, 2, p, q)) == math.gcd(p, q) - 1
+
+
+def test_betti_numbers_agree_on_every_permutation():
+    # the memo is keyed on the sorted tuple; that is sound because both
+    # counts, evaluated uncached, agree on every ordering of the exponents
+    for v in [(2, 3, 4, 16), (2, 2, 3, 3), (7, 7, 2), (2, 3, 3, 2, 6), (4, 6)]:
+        kappa, qb = middle_betti(v), quotient_betti(v)
+        for p in itertools.permutations(v):
+            assert middle_betti(p) == kappa
+            assert quotient_betti(p) == qb
+            assert homology._middle_betti.__wrapped__(p) == kappa
+            assert homology._quotient_betti.__wrapped__(p) == qb
+
+
+def test_betti_memo_is_bounded():
+    for memo in (homology._middle_betti, homology._quotient_betti):
+        assert memo.cache_info().maxsize is not None
+        assert memo.cache_info().maxsize <= 1024
 
 
 def test_quotient_betti_surface_case():
@@ -303,8 +320,10 @@ def test_milnor_signature_one_large_axis():
 
 
 def test_milnor_signature_guards():
-    with pytest.raises(NotDim7):
+    with pytest.raises(DimensionMismatch):
         milnor_signature_dim7((2, 3, 4, 16))
+    with pytest.raises(DimensionMismatch):
+        exotic_class_dim7((2, 3, 5, 7))
     with pytest.raises(BudgetExceeded):
         milnor_signature_dim7((2, 2, 2, 3, 5), budget=10)
     for bad in [(1, 2, 2, 3, 5), (2, 2, 2, 3, 5.0)]:

@@ -8,6 +8,7 @@ import pytest
 
 from brieskorn import (
     BudgetExceeded,
+    DimensionTooLow,
     GradedRanks,
     NotLacunary,
     NotMorseBottCover,
@@ -247,6 +248,12 @@ def test_mean_euler_needs_nonzero_principal_index():
     for v in [(2, 4, 6, 12), (2, 3, 6), (2, 4, 4)]:
         with pytest.raises(ZeroPrincipalIndex):
             mean_euler(make_link(v))
+
+
+def test_mean_euler_needs_three_exponents():
+    # mu_P = -2 for (2, 3), so the stratum walk itself must refuse it
+    with pytest.raises(DimensionTooLow):
+        mean_euler((2, 3))
 
 
 def test_mean_euler_against_full_spectrum_sum():

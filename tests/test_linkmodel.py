@@ -1,12 +1,15 @@
 """Exponent vectors, strata, and period spectra."""
 
 import math
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from brieskorn import (
     DimensionTooLow,
     InvalidExponent,
+    Stratum,
     canonical_exponents,
     index_set,
     make_link,
@@ -16,6 +19,25 @@ from brieskorn import (
     sylvester_links,
     sylvester_sequence,
 )
+
+
+def strata_by_closure(link):
+    """Reference strata: close every index subset of size >= 2 under
+    T = lcm(a_S), S -> I_T, and keep one stratum per period."""
+    a = link.exponents
+    found = {}
+    for size in range(2, len(a) + 1):
+        for subset in combinations(range(len(a)), size):
+            t = math.lcm(*(a[j] for j in subset))
+            if t not in found:
+                idx = index_set(link, t)
+                found[t] = Stratum(
+                    index_set=idx,
+                    exponents=tuple(a[j] for j in sorted(idx)),
+                    min_period=t,
+                    dim=2 * len(idx) - 3,
+                )
+    return tuple(sorted(found.values(), key=lambda s: s.min_period))
 
 
 def test_parse_exponents():
@@ -99,6 +121,26 @@ def test_strata_index_sets_are_closed():
     for s in strata(link):
         assert s.index_set == index_set(link, s.min_period)
         assert s.min_period == math.lcm(*(link.exponents[j] for j in s.index_set))
+
+
+def test_strata_match_the_closure_reference():
+    # every multiset of 3-4 exponents in 2..12, and seeded 5-6-exponent
+    # vectors in 2..40 in shuffled order, repeats included (the lattice is
+    # taken over positions, so equal exponents must not merge strata)
+    vectors = [
+        v for k in (3, 4)
+        for v in combinations_with_replacement(range(2, 13), k)
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        v = [rng.choice((2, 3, 4, 6, 8, 9, 12, 15, 40))
+             for _ in range(rng.randint(4, 5))]
+        v += [rng.randint(2, 40)]
+        rng.shuffle(v)
+        vectors.append(tuple(v))
+    for v in vectors:
+        link = make_link(v)
+        assert strata(link) == strata_by_closure(link), v
 
 
 def test_strata_need_three_exponents():

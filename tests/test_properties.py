@@ -41,6 +41,7 @@ from brieskorn import (
     strata,
     sylvester_sequence,
 )
+from brieskorn.linkmodel import _lattice_strata
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
 
@@ -102,6 +103,27 @@ def test_phi_matches_brute_scan(vec):
         assert phi(s.min_period, larger, link.degree) == brute
         total += brute
     assert total == len(period_spectrum(link).entries)
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 40), min_size=3, max_size=6).map(tuple))
+def test_lattice_count_is_phi_and_the_spectrum_count(vec):
+    # E(S) = #{T <= d : I_T = S} from the subset lattice is the stratum's
+    # phi against the larger strata periods and its number of spectrum
+    # entries; the spectrum is listed only while it stays small
+    link = make_link(vec)
+    rows = sorted(_lattice_strata(link), key=lambda row: row[1])
+    assert [(frozenset(i), t) for i, t, _ in rows] == [
+        (s.index_set, s.min_period) for s in strata(link)
+    ]
+    periods = [t for _, t, _ in rows]
+    for k, (_, t, count) in enumerate(rows):
+        assert count == phi(t, periods[k + 1 :], link.degree)
+    if sum(link.degree // t for t in periods) <= 200_000:
+        labels = {}
+        for _, s in period_spectrum(link).entries:
+            labels[s.index_set] = labels.get(s.index_set, 0) + 1
+        assert labels == {frozenset(i): count for i, _, count in rows}
 
 
 @SETTINGS
