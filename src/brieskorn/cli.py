@@ -278,9 +278,7 @@ def _write_records(records, args, out):
 
 
 def _cmd_enumerate(args, out):
-    records = enumerate_links(
-        args.dim, args.max_exponent, filters=args.filter, jobs=args.jobs
-    )
+    records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
     _write_records(records, args, out)
     return 0
 
@@ -289,9 +287,7 @@ def _cmd_collide(args, out):
     if args.infile:
         records = import_records(args.infile, fmt=args.format)
     else:
-        records = enumerate_links(
-            args.dim, args.max_exponent, filters=args.filter, jobs=args.jobs
-        )
+        records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
     k_lo, k_hi = args.window
     groups = find_mec_collisions(records, window=(k_lo, k_hi))
     if args.json:
@@ -378,7 +374,7 @@ def _build_parser():
     p.add_argument("--filter", action="append", default=[],
                    choices=FILTER_NAMES, help="may be repeated; combined with AND")
     p.add_argument("--jobs", type=int, default=1,
-                   help="shard by leading exponent across N processes")
+                   help="accepted and ignored; the census runs in one process")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write to a file instead of stdout")

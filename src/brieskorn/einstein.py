@@ -22,6 +22,7 @@ For some links the two counts disagree in the literature; both are reported.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -258,10 +259,23 @@ def count_perturbation_monomials(link):
     >>> count_perturbation_monomials(make_link((2, 3, 5, 7)))
     0
     """
-    link = _as_link(link)
+    return _monomial_counts(_as_link(link))[0]
+
+
+def _monomial_counts(link):
+    """(perturbations, sum_i h^0(O(w_i))) from one kernel call (see
+    :func:`moduli_dimension`); only sums s <= max(w) can meet some w_i."""
     w, d = link.weights, link.degree
     kept, other = _lattice_halves(w, map(range, link.exponents), target=d)
-    return sum(n * kept.get(d - s, 0) for s, n in other)
+    get, top = kept.get, max(w)
+    weights = Counter(w).items()
+    perturbations = h0_w = 0
+    for s, n in other:
+        perturbations += n * get(d - s, 0)
+        if s <= top:
+            for x, m in weights:
+                h0_w += n * m * get(x - s, 0)
+    return perturbations, h0_w
 
 
 @dataclass(frozen=True)
@@ -299,9 +313,9 @@ def moduli_dimension(link):
     h^0(O(d)) = perturbation_count + n + 1: of the b with 0 <= b_j <= a_j and
     sum b_j w_j = d, one with some b_j = a_j has b_j w_j = d already, so it is
     one of the n + 1 pure powers; the rest are the perturbations.  h^0(O(w_i))
-    counts b >= 0 with sum b_j w_j = w_i; one kernel call over the box
-    0 <= b_j <= max(w) / w_j answers every w_i at once, each (sum, count) of
-    one half meeting the other half's count at w_i - sum.
+    counts b >= 0 with sum b_j w_j = w_i, and b_j <= max(w) / w_j =
+    a_j / min(a) < a_j, so one kernel call over the box 0 <= b_j < a_j with
+    target d answers the perturbations and every w_i at once.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)
@@ -309,13 +323,8 @@ def moduli_dimension(link):
     """
     link = _as_link(link)
     _require_surface_dim(link)
-    w = link.weights
-    perturbations = count_perturbation_monomials(link)
-    h0_d = perturbations + len(w)
-    top = max(w)
-    box = [range(top // v + 1) for v in w]
-    kept, other = _lattice_halves(w, box, target=top)
-    h0_w = sum(n * sum(kept.get(x - s, 0) for x in w) for s, n in other)
+    perturbations, h0_w = _monomial_counts(link)
+    h0_d = perturbations + len(link.exponents)
     kuranishi = h0_d - h0_w
     applicable = sum(1 for a in link.exponents if a == 2) <= 1
     if applicable and kuranishi < 0:

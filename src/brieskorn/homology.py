@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_left
-from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -27,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linkmodel import _as_link, _checked_exponents, make_link
+from .linkmodel import _MAX_SUBSETS, _as_link, _checked_exponents, make_link
 
 __all__ = [
     "middle_betti",
@@ -56,21 +55,17 @@ def middle_betti(exponents):
     #{ x : 1 <= x_j < a_j, sum x_j / a_j integral }, which is manifestly
     non-negative and permutation invariant.  Randell's and Milnor-Orlik's
     formulas for the characteristic polynomial of the monodromy reduce to
-    this count over the rationals.
+    this count over the rationals.  More than 2^18 subsets raise
+    BudgetExceeded.
 
     >>> middle_betti((2, 2, 3, 3))
     2
     >>> middle_betti((2, 4))
     1
     """
-    return _middle_betti(_as_link(exponents).canonical)
-
-
-@lru_cache(maxsize=256)
-def _middle_betti(a):
-    """:func:`middle_betti` of a validated tuple, memoised.  It and
-    :func:`_quotient_betti` are permutation invariant: callers key both on
-    the sorted tuple, and census neighbours share sub-multisets."""
+    a = _as_link(exponents).exponents
+    if 1 << len(a) > _MAX_SUBSETS:
+        raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
     n1 = len(a)
     total = 0
     for size in range(n1 + 1):
@@ -115,27 +110,31 @@ def quotient_betti(exponents):
     >>> quotient_betti((2, 2, 3, 3)).ranks
     (1, 0, 3, 0, 1)
     """
-    return _quotient_betti(_as_link(exponents).canonical)
-
-
-@lru_cache(maxsize=256)
-def _quotient_betti(a):
-    """:func:`quotient_betti` of a validated, sorted tuple, memoised."""
-    q = len(a) - 2
-    kappa = _middle_betti(a)
-    if q == 0:
-        g = math.gcd(*a)
-        if kappa != g - 1:
-            raise InternalInconsistency(
-                f"two-exponent middle rank {kappa} != gcd-1 = {g - 1}"
-            )
-        return QuotientBetti(ranks=(g,), chi=g)
-    ranks = [1 if i % 2 == 0 else 0 for i in range(2 * q + 1)]
-    ranks[q] = (1 + kappa) if q % 2 == 0 else kappa
+    a = _as_link(exponents).exponents
+    kappa = middle_betti(a)
+    if len(a) == 2 and kappa != math.gcd(*a) - 1:
+        raise InternalInconsistency(
+            f"two-exponent middle rank {kappa} != gcd-1 = {math.gcd(*a) - 1}"
+        )
+    ranks = _quotient_ranks(len(a), kappa)
     chi = sum(r if i % 2 == 0 else -r for i, r in enumerate(ranks))
-    if ranks[0] != 1 or ranks[2 * q] != 1:
+    if len(a) > 2 and (ranks[0] != 1 or ranks[-1] != 1):
         raise InternalInconsistency("quotient must have b_0 = b_top = 1")
-    return QuotientBetti(ranks=tuple(ranks), chi=chi)
+    return QuotientBetti(ranks=ranks, chi=chi)
+
+
+def _quotient_ranks(size, kappa):
+    """:func:`quotient_betti` ranks from the exponent count and kappa."""
+    q = size - 2
+    ranks = [1 - i % 2 for i in range(2 * q + 1)]
+    ranks[q] = kappa + 1 - q % 2
+    return tuple(ranks)
+
+
+def _quotient_chi(size, kappa):
+    """The alternating sum of :func:`_quotient_ranks`, (q + 1) +- kappa."""
+    q = size - 2
+    return q + 1 - kappa if q % 2 else q + 1 + kappa
 
 
 def chi_s1(exponents):
@@ -315,7 +314,7 @@ def diffeo_type_dim5(exponents):
         raise DimensionMismatch(
             f"dim-5 classification needs four exponents, got {len(a)}"
         )
-    kappa = middle_betti(link)
+    kappa = link._lattice[-1][3]  # kappa of all indices
     srt = tuple(sorted(a))
     if is_homotopy_sphere(link):
         if kappa != 0:
@@ -383,7 +382,7 @@ def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
         raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
     kept = _half_sums(halves[k], modulus, top)
     if walked:
-        return kept, ((sum(p), 1) for p in product(*axes))
+        return kept, zip(map(sum, product(*axes)), repeat(1))
     return kept, _half_sums(halves[1 - k], modulus, top).items()
 
 

@@ -48,15 +48,14 @@ from .errors import (
     PreconditionFailed,
     ZeroPrincipalIndex,
 )
-from .homology import _quotient_betti, quotient_betti
+from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
-    _lattice_strata,
+    _strata_kappas,
     _stratum_periods,
     index_set,
     make_link,
     period_spectrum,
-    strata,
 )
 
 __all__ = [
@@ -242,10 +241,11 @@ def mean_euler(link):
 
     Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
     periods and divides by |mu_P|; E(S) = #{T <= d : I_T = S} is the
-    stratum's :func:`phi`.  The cost is one walk over the 2^(n+1) index
-    subsets, with no phi recursion, plus memoised quotient Betti numbers.
-    Exact rational arithmetic.  Raises ZeroPrincipalIndex when mu_P = 0
-    (the average does not converge to a finite period-independent value).
+    stratum's :func:`phi`, and chi^{S^1} comes from kappa(S), the sub-link's
+    middle Betti number.  The profile's one walk over the 2^(n+1) index
+    subsets yields both (past 2^18 BudgetExceeded is raised).  Exact rational
+    arithmetic.  Raises ZeroPrincipalIndex when mu_P = 0 (the average does
+    not converge to a finite period-independent value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -258,12 +258,10 @@ def mean_euler(link):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    a = link.exponents
     numerator = 0
-    for idx, t, count in _lattice_strata(link):
-        sign = -1 if _shift(link, len(idx), t) % 2 else 1
-        sub = tuple(sorted(a[j] for j in idx))
-        numerator += sign * count * _quotient_betti(sub).chi
+    for idx, t, count, kappa in link._lattice:
+        chi = count * _quotient_chi(len(idx), kappa)
+        numerator += -chi if _shift(link, len(idx), t) % 2 else chi
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 
@@ -360,7 +358,7 @@ def e1_page(link, k_lo, k_hi):
         raise PreconditionFailed(
             f"empty degree window [{k_lo}, {k_hi}]"
         )
-    st = strata(link)
+    st, kappas = _strata_kappas(link)
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
@@ -387,7 +385,7 @@ def e1_page(link, k_lo, k_hi):
             f"{_MAX_PAGE_WORK}"
         )
     found = []
-    for s in st:
+    for s, kappa in zip(st, kappas):
         span = 2 * len(s.exponents) - 4
         betti = None
         for t in _stratum_periods(link, s, t_lo, t_hi):
@@ -395,7 +393,7 @@ def e1_page(link, k_lo, k_hi):
             if shift > hi_m or shift + span < lo_m:
                 continue
             if betti is None:
-                betti = quotient_betti(s.exponents).ranks
+                betti = _quotient_ranks(len(s.exponents), kappa)
             found.append((t, s, shift, betti))
     found.sort(key=lambda e: e[0])
     lcms, coefs = _ordinal_terms(link, t_hi)
@@ -479,7 +477,7 @@ def mean_euler_from_ranks(link, strict=False):
     Fraction(25, 14)
     """
     link = _as_link(link)
-    st = strata(link)
+    st, kappas = _strata_kappas(link)
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
@@ -491,7 +489,8 @@ def mean_euler_from_ranks(link, strict=False):
             f"period spectrum of {link.exponents} has up to {work} entries, "
             f"over {_MAX_PAGE_WORK}"
         )
-    chi = {s.min_period: quotient_betti(s.exponents).chi for s in st}
+    chi = {s.min_period: _quotient_chi(len(s.exponents), kappa)
+           for s, kappa in zip(st, kappas)}
     entries = period_spectrum(link).entries
     shifts = [_shift(link, len(s.exponents), t) for t, s in entries]
     alternating = sum(

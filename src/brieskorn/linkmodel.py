@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
-from .errors import DimensionTooLow, InternalInconsistency, InvalidExponent
+from .errors import BudgetExceeded, DimensionTooLow
+from .errors import InternalInconsistency, InvalidExponent
 
 __all__ = [
     "LinkProfile",
@@ -90,6 +92,9 @@ class LinkProfile:
     link_dim : int, 2n - 1 for n + 1 exponents
     recip_sum : Fraction, sum of 1/a_j; the link is "positive" (log Fano
         range) exactly when this exceeds 1
+
+    The subset lattice (:func:`_lattice_strata`) is walked on first use and
+    kept with the profile, so the invariants handed one profile share it.
     """
 
     exponents: tuple
@@ -111,6 +116,10 @@ class LinkProfile:
     @property
     def canonical(self):
         return canonical_exponents(self.exponents)
+
+    @cached_property
+    def _lattice(self):
+        return _lattice_strata(self)
 
 
 def _checked_exponents(exponents):
@@ -187,13 +196,20 @@ class Stratum:
     dim: int
 
 
+# Most index subsets 2^(n+1) a subset walk may visit (about a second); it
+# is checked before anything is allocated.
+_MAX_SUBSETS = 1 << 18
+
+
 def _lattice_strata(link):
-    """(indices, lcm(a_S), E(S)) for each index subset S with |S| >= 2 and
-    E(S) = #{1 <= T <= d : I_T = S} > 0 (the strata), in bit-mask order.
+    """(indices, lcm(a_S), E(S), kappa(S)) for each index subset S with
+    |S| >= 2 and E(S) = #{1 <= T <= d : I_T = S} > 0 (the strata), in
+    bit-mask order (the principal stratum last).
 
     One walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
-    lcm(lcm of S minus its lowest index j, a_j), and a superset Moebius
-    transform turns #{T : S within I_T} = d / lcm(a_S) into E(S).
+    lcm(lcm of S minus its lowest index j, a_j), prod(a_S) likewise.  Per
+    index, Moebius transforms turn #{T : S within I_T} = d / lcm(a_S) into
+    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).
     """
     a = link.exponents
     if len(a) < 3:
@@ -201,22 +217,31 @@ def _lattice_strata(link):
             "stratum enumeration needs a link of dimension >= 3 "
             f"(at least three exponents); got {len(a)}"
         )
-    lcms = [1]  # indexed by the bit mask of S
+    if 1 << len(a) > _MAX_SUBSETS:
+        raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
+    lcms, prods = [1], [1]  # indexed by the bit mask of S
     for s in range(1, 1 << len(a)):
         rest = s & (s - 1)
-        lcms.append(math.lcm(lcms[rest], a[(s ^ rest).bit_length() - 1]))
+        aj = a[(s ^ rest).bit_length() - 1]
+        lcms.append(math.lcm(lcms[rest], aj))
+        prods.append(prods[rest] * aj)
     counts = [lcms[-1] // t for t in lcms]
+    kappas = [p // t for p, t in zip(prods, lcms)]
     for bit in (1 << j for j in range(len(a))):
         for s in range(len(counts)):
             if s & bit:
                 counts[s ^ bit] -= counts[s]
+                kappas[s] -= kappas[s ^ bit]
     if lcms[-1] != link.degree or counts[-1] != 1:
         raise InternalInconsistency("principal stratum missing or misplaced")
-    return [
-        (tuple(j for j in range(len(a)) if s >> j & 1), lcms[s], e)
+    if min(kappas) < 0:  # each kappa(S) counts lattice points
+        raise InternalInconsistency(f"negative sub-link middle rank in {a}")
+    bits = range(len(a))
+    return tuple([
+        (tuple([j for j in bits if s >> j & 1]), lcms[s], e, kappas[s])
         for s, e in enumerate(counts)
         if e > 0 and s & (s - 1)
-    ]
+    ])
 
 
 def strata(link):
@@ -224,15 +249,21 @@ def strata(link):
 
     They are the index sets S, |S| >= 2, with S = I_T for some T <= d, each
     at its minimal period lcm{a_j : j in S}, read off one walk over the
-    2^(n+1) index subsets.  The last is the principal stratum (the whole
-    link, at period d).  Distinct strata never share a minimal period,
-    because I_T is a function of T alone.
+    2^(n+1) index subsets (more than 2^18 raise BudgetExceeded).  The last
+    is the principal stratum (the whole link, at period d).  Distinct strata
+    never share a minimal period, because I_T is a function of T alone.
     """
+    return _strata_kappas(link)[0]
+
+
+def _strata_kappas(link):
+    """:func:`strata` and, in the same order, each stratum's kappa(S)."""
     a = link.exponents
+    rows = sorted(link._lattice, key=lambda e: e[1])
     return tuple(
         Stratum(frozenset(idx), tuple(a[j] for j in idx), t, 2 * len(idx) - 3)
-        for idx, t, _ in sorted(_lattice_strata(link), key=lambda e: e[1])
-    )
+        for idx, t, _, _ in rows
+    ), [kappa for _, _, _, kappa in rows]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -39,7 +38,6 @@ from .homology import (
     diffeo_type_dim5,
     is_homotopy_sphere,
     is_rational_homology_sphere,
-    middle_betti,
     milnor_signature_dim7,
 )
 from .invariants import mean_euler, principal_index, sh_plus_ranks
@@ -138,7 +136,7 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
         recip_sum=link.recip_sum,
         mu_P=mu_p,
         chi_m=chi_m,
-        middle_rank=middle_betti(link),
+        middle_rank=link._lattice[-1][3],  # kappa of all indices
         homotopy_sphere=sphere,
         rhs=rhs,
         dim5_type=d5,
@@ -153,37 +151,19 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
 # enumeration
 
 
-FILTER_NAMES = ("positive", "se_exists", "se_unknown", "homotopy_sphere", "rhs")
-
-
-def _passes(record, filters):
-    for name in filters:
-        if name == "positive":
-            if not record.mu_P > 0:
-                return False
-        elif name == "se_exists":
-            if not (
-                record.se.verdict is SEVerdict.EXISTS
-                or record.canonical in KNOWN_SE_EXISTS
-            ):
-                return False
-        elif name == "se_unknown":
-            if not (
-                record.se.verdict is SEVerdict.UNKNOWN
-                and record.canonical not in KNOWN_SE_EXISTS
-            ):
-                return False
-        elif name == "homotopy_sphere":
-            if record.homotopy_sphere is not True:
-                return False
-        elif name == "rhs":
-            if record.rhs is not True:
-                return False
-        else:
-            raise PreconditionFailed(
-                f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
-            )
-    return True
+_FILTERS = {  # census filters by name
+    "positive": lambda rec: rec.mu_P > 0,
+    "se_exists": lambda rec: (
+        rec.se.verdict is SEVerdict.EXISTS or rec.canonical in KNOWN_SE_EXISTS
+    ),
+    "se_unknown": lambda rec: (
+        rec.se.verdict is SEVerdict.UNKNOWN
+        and rec.canonical not in KNOWN_SE_EXISTS
+    ),
+    "homotopy_sphere": lambda rec: rec.homotopy_sphere is True,
+    "rhs": lambda rec: rec.rhs is True,
+}
+FILTER_NAMES = tuple(_FILTERS)
 
 
 def _length_for_dim(dim):
@@ -194,51 +174,32 @@ def _length_for_dim(dim):
     return (dim + 3) // 2
 
 
-def _build_shard(args):
-    lead, max_exponent, length, filters = args
-    out = []
-    for tail in combinations_with_replacement(
-        range(lead, max_exponent + 1), length - 1
-    ):
-        rec = build_record((lead,) + tail)
-        if _passes(rec, filters):
-            out.append(rec)
-    return out
-
-
 def enumerate_links(dim, max_exponent, filters=(), jobs=1):
     """All canonical (non-decreasing) exponent vectors of the given link
     dimension with entries in [2, max_exponent], in lexicographic order,
     as full records, optionally filtered.
 
     ``filters`` is an iterable of names among positive / se_exists /
-    se_unknown / homotopy_sphere / rhs, combined with AND.  ``jobs`` > 1
-    shards the work by leading exponent across processes; sharding never
-    changes the output (same order, same records).
+    se_unknown / homotopy_sphere / rhs, combined with AND.  ``jobs`` is
+    accepted and ignored: the census runs in this process.
     """
     length = _length_for_dim(dim)
     if max_exponent < 2:
         raise PreconditionFailed(
             f"max_exponent must be >= 2, got {max_exponent}"
         )
-    filters = tuple(filters)
+    preds = []
     for name in filters:
-        if name not in FILTER_NAMES:
+        if name not in _FILTERS:
             raise PreconditionFailed(
                 f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
             )
-    shards = [
-        (lead, max_exponent, length, filters)
-        for lead in range(2, max_exponent + 1)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_build_shard, shards))
-    else:
-        parts = [_build_shard(s) for s in shards]
+        preds.append(_FILTERS[name])
     out = []
-    for part in parts:
-        out.extend(part)
+    for vec in combinations_with_replacement(range(2, max_exponent + 1), length):
+        rec = build_record(vec)
+        if all(p(rec) for p in preds):
+            out.append(rec)
     return out
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,21 @@ def test_exit_code_budget_oversize_first_page():
     assert proc.stdout == ""
     assert "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("mec", ",".join(["2"] * 26)),
+    ("analyze", ",".join(["3"] * 24)),
+])
+def test_exit_code_budget_too_many_index_subsets(capsys, argv):
+    # 2^26 and 2^24 index subsets: the subset lattice refuses before
+    # allocating its lists, instead of a MemoryError or a minutes-long walk
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_exit_code_usage(capsys):

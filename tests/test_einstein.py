@@ -1,9 +1,9 @@
 """Sasaki-Einstein existence criteria, moduli counts, and Sylvester numerators."""
 
-import inspect
 import itertools
 import math
 import random
+from collections.abc import ItemsView
 from fractions import Fraction
 
 import pytest
@@ -153,20 +153,21 @@ def test_h0_weight_sum_matches_the_dp():
 
 
 def test_h0_weight_sum_with_a_walked_half(monkeypatch):
-    # all h0(O(w_i)) come from one kernel call, the one with target max(w).
-    # Give that call the smallest key cap it accepts: then the half with
-    # fewer keys is kept and the other is walked (unless both need as many).
+    # all h0(O(w_i)) come from the one kernel call, the one with target d
+    # that also counts the perturbations.  Give that call the smallest key
+    # cap it accepts: then the half with fewer keys is kept and the other is
+    # walked (unless both need as many).
     real, walked = einstein._lattice_halves, []
 
     def spy(steps, ranges, modulus=None, target=None, walk=1 << 24):
-        if target != max(steps):
+        if target != link.degree:
             return real(steps, ranges, modulus, target, walk)
         saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
         try:
             kept, other = real(steps, ranges, modulus, target, walk)
         finally:
             homology._MAX_HALF_KEYS = saved
-        walked.append(inspect.isgenerator(other))
+        walked.append(not isinstance(other, ItemsView))
         return kept, other
 
     monkeypatch.setattr(einstein, "_lattice_halves", spy)

@@ -41,6 +41,7 @@ from brieskorn import (
     strata,
     sylvester_sequence,
 )
+from brieskorn.homology import _quotient_chi
 from brieskorn.linkmodel import _lattice_strata
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
@@ -64,6 +65,7 @@ def test_permutation_invariance(vec):
     twin = make_link(shuffled(vec))
     assert principal_index(link) == principal_index(twin)
     assert middle_betti(vec) == middle_betti(twin.exponents)
+    assert quotient_betti(vec) == quotient_betti(twin.exponents)
     if principal_index(link) != 0:
         assert mean_euler(link).value == mean_euler(twin).value
         assert sh_plus_ranks(link, 0, 0).ranks == sh_plus_ranks(twin, 0, 0).ranks
@@ -113,17 +115,38 @@ def test_lattice_count_is_phi_and_the_spectrum_count(vec):
     # entries; the spectrum is listed only while it stays small
     link = make_link(vec)
     rows = sorted(_lattice_strata(link), key=lambda row: row[1])
-    assert [(frozenset(i), t) for i, t, _ in rows] == [
+    assert [(frozenset(i), t) for i, t, _, _ in rows] == [
         (s.index_set, s.min_period) for s in strata(link)
     ]
-    periods = [t for _, t, _ in rows]
-    for k, (_, t, count) in enumerate(rows):
+    periods = [t for _, t, _, _ in rows]
+    for k, (_, t, count, _) in enumerate(rows):
         assert count == phi(t, periods[k + 1 :], link.degree)
     if sum(link.degree // t for t in periods) <= 200_000:
         labels = {}
         for _, s in period_spectrum(link).entries:
             labels[s.index_set] = labels.get(s.index_set, 0) + 1
-        assert labels == {frozenset(i): count for i, _, count in rows}
+        assert labels == {frozenset(i): count for i, _, count, _ in rows}
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 9), min_size=3, max_size=7).map(tuple))
+def test_lattice_rows_are_the_betti_oracles(vec):
+    # small exponents make repeats, and so strata of several sizes, common
+    link = make_link(vec)
+    for idx, _, _, kappa in _lattice_strata(link):
+        sub = tuple(vec[j] for j in idx)
+        assert kappa == middle_betti(sub)
+        assert _quotient_chi(len(idx), kappa) == quotient_betti(sub).chi
+
+
+@SETTINGS
+@given(exponent_vectors)
+def test_weight_boxes_fit_in_the_perturbation_box(vec):
+    # every monomial of weighted degree w_i has b_j <= max(w) // w_j < a_j,
+    # so one perturbation-box kernel call also counts every h0(O(w_i))
+    link = make_link(vec)
+    top = max(link.weights)
+    assert all(top // w < a for w, a in zip(link.weights, vec))
 
 
 @SETTINGS
