@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import __version__
@@ -29,12 +30,14 @@ from .errors import (
     InternalInconsistency,
     ValidationError,
 )
+from .einstein import se_status
 from .homology import chi_s1, middle_betti
 from .invariants import mean_euler, sh_plus_ranks
 from .linkmodel import make_link, parse_exponents
 from .tables import (
     CSV_HEADER,
     FILTER_NAMES,
+    _write_records,
     cached_record,
     enumerate_links,
     export_records,
@@ -66,10 +69,6 @@ def _fmt_q(x, approx):
     return s
 
 
-def _fmt_opt(x):
-    return "-" if x is None else str(x)
-
-
 def _fmt_bool(b):
     if b is None:
         return "-"
@@ -94,40 +93,29 @@ def _cmd_analyze(args, out):
     exponents = parse_exponents(args.exponents)
     if len(exponents) == 2:
         link = make_link(exponents)
+        d = {
+            "exponents": list(link.exponents),
+            "dim": link.link_dim,
+            "degree": link.degree,
+            "weights": list(link.weights),
+            "recip_sum": str(link.recip_sum),
+            "middle_rank": middle_betti(link.exponents),
+            "chi_s1": chi_s1(link.exponents),
+            "note": "classifiers, SE verdicts and chi_m need >= 3 exponents",
+        }
         if args.json:
-            d = {
-                "exponents": list(link.exponents),
-                "dim": link.link_dim,
-                "degree": link.degree,
-                "weights": list(link.weights),
-                "recip_sum": str(link.recip_sum),
-                "middle_rank": middle_betti(link.exponents),
-                "chi_s1": chi_s1(link.exponents),
-                "note": "classifiers, SE verdicts and chi_m need >= 3 exponents",
-            }
             print(json.dumps(d, indent=2), file=out)
             return 0
-        print(_label(link.exponents), file=out)
-        _print_kv(
-            [
-                ("dim", str(link.link_dim)),
-                ("degree", str(link.degree)),
-                ("weights", ",".join(str(w) for w in link.weights)),
-                ("recip_sum", _fmt_q(link.recip_sum, args.approx)),
-                ("middle_rank", str(middle_betti(link.exponents))),
-                ("chi_s1", str(chi_s1(link.exponents))),
-                ("note", "classifiers, SE verdicts and chi_m need >= 3 exponents"),
-            ],
-            out,
-        )
+        print(_label(d.pop("exponents")), file=out)
+        d["weights"] = ",".join(str(w) for w in link.weights)
+        d["recip_sum"] = _fmt_q(link.recip_sum, args.approx)
+        _print_kv([(k, str(v)) for k, v in d.items()], out)
         return 0
 
     sig7_budget = None
     sig7_note = None
     if len(exponents) == 5:
-        box = 1
-        for a in exponents:
-            box *= a
+        box = math.prod(exponents)
         if args.sig7:
             sig7_budget = args.sig7_budget
         elif box <= _AUTO_SIG7_BUDGET:
@@ -209,8 +197,6 @@ def _cmd_sh_ranks(args, out):
 
 
 def _cmd_se_check(args, out):
-    from .einstein import se_status
-
     link = make_link(parse_exponents(args.exponents))
     report = se_status(link)
     if args.json:
@@ -262,24 +248,13 @@ def _cmd_sweep(args, out):
     return 0
 
 
-def _write_records(records, args, out):
+def _cmd_enumerate(args, out):
+    records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
     if args.out:
         export_records(records, args.out, fmt=args.format)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
-        return
-    if (args.format or "csv") == "csv":
-        writer = csv.writer(out, delimiter=";", lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(";"))
-        for rec in records:
-            writer.writerow(record_to_csv_row(rec))
     else:
-        for rec in records:
-            print(json.dumps(record_to_json_dict(rec)), file=out)
-
-
-def _cmd_enumerate(args, out):
-    records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
-    _write_records(records, args, out)
+        _write_records(records, out, args.format or "csv")
     return 0
 
 
@@ -387,7 +362,8 @@ def _build_parser():
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--max-exponent", type=int, default=None)
     p.add_argument("--filter", action="append", default=[], choices=FILTER_NAMES)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored; the census runs in one process")
     p.add_argument("--window", type=int, nargs=2, default=(0, 0),
                    metavar=("K_LO", "K_HI"),
                    help="degree window for distinguishing ranks (default 0 0)")

@@ -126,9 +126,9 @@ def se_coprime_iff(link):
     """
     link = _as_link(link)
     _require_surface_dim(link)
-    a = link.exponents
-    if any(math.gcd(x, y) > 1 for x, y in combinations(a, 2)):
+    if link.gcd_graph:
         return CoprimeVerdict.NOT_APPLICABLE
+    a = link.exponents
     n = len(a) - 1
     sigma = link.recip_sum
     if 1 < sigma < 1 + Fraction(n, max(a)):
@@ -391,10 +391,6 @@ def sylvester_numerator(n, a):
                 cs[j] - 1 for j in idx if j not in subset
             )
             total += outside * (a - 1) * _chi_even_odd(ell)
-    for ell in range(1, n + 1):
-        for subset in combinations(idx, ell + 1):
-            outside = math.prod(
-                cs[j] - 1 for j in idx if j not in subset
-            )
-            total += outside * (ell + 3)
+            if ell >= 1:  # the second sum starts at ell = 1
+                total += outside * (ell + 3)
     return total

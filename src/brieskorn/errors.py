@@ -13,6 +13,22 @@ the public contract:
   deliberately loud.
 """
 
+__all__ = [
+    "BrieskornError",
+    "ValidationError",
+    "InvalidExponent",
+    "DimensionTooLow",
+    "DimensionMismatch",
+    "InvalidInstance",
+    "PreconditionFailed",
+    "ZeroPrincipalIndex",
+    "NotMorseBottCover",
+    "SchemaError",
+    "NotLacunary",
+    "BudgetExceeded",
+    "InternalInconsistency",
+]
+
 
 class BrieskornError(Exception):
     """Base class for all errors raised by this package."""

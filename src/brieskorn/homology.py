@@ -148,44 +148,25 @@ def chi_s1(exponents):
     return quotient_betti(exponents).chi
 
 
-def _components(exponents):
-    """Connected components of the gcd graph, as lists of indices."""
-    n1 = len(exponents)
-    parent = list(range(n1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in combinations(range(n1), 2):
-        if math.gcd(exponents[i], exponents[j]) > 1:
-            parent[find(i)] = find(j)
-    comps = {}
-    for i in range(n1):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
-
-
-def _has_odd_two_component(exponents, comps):
-    """A component with >= 3 vertices, odd order, pairwise gcd exactly 2."""
-    for comp in comps:
-        if len(comp) >= 3 and len(comp) % 2 == 1:
-            if all(
-                math.gcd(exponents[i], exponents[j]) == 2
-                for i, j in combinations(comp, 2)
-            ):
-                return True
-    return False
-
-
-def _require_dim5_plus(exponents, what):
-    if len(exponents) < 4:
+def _gcd_graph_reading(exponents):
+    """What both sphere criteria read off the link's gcd graph: the number
+    of isolated vertices, and whether some component of odd order >= 3 has
+    all pairwise gcds exactly 2.  Needs dimension >= 5."""
+    link = _as_link(exponents)
+    a = link.exponents
+    if len(a) < 4:
         raise DimensionTooLow(
-            f"{what} applies to links of dimension >= 5 "
-            f"(at least four exponents); got {len(exponents)}"
+            "the gcd-graph sphere criteria apply to links of dimension >= 5 "
+            f"(at least four exponents); got {len(a)}"
         )
+    comps = link._gcd_components
+    odd_two = any(
+        len(comp) >= 3
+        and len(comp) % 2 == 1
+        and all(math.gcd(a[i], a[j]) == 2 for i, j in combinations(comp, 2))
+        for comp in comps
+    )
+    return sum(len(comp) == 1 for comp in comps), odd_two
 
 
 def is_rational_homology_sphere(exponents):
@@ -201,12 +182,8 @@ def is_rational_homology_sphere(exponents):
     >>> is_rational_homology_sphere((2, 3, 3, 9))
     True
     """
-    a = _as_link(exponents).exponents
-    _require_dim5_plus(a, "the rational-homology-sphere criterion")
-    comps = _components(a)
-    if any(len(c) == 1 for c in comps):
-        return True
-    return _has_odd_two_component(a, comps)
+    isolated, odd_two = _gcd_graph_reading(exponents)
+    return isolated >= 1 or odd_two
 
 
 def is_homotopy_sphere(exponents):
@@ -223,15 +200,8 @@ def is_homotopy_sphere(exponents):
     >>> is_homotopy_sphere((2, 2, 3, 3))
     False
     """
-    a = _as_link(exponents).exponents
-    _require_dim5_plus(a, "the homotopy-sphere criterion")
-    comps = _components(a)
-    isolated = sum(1 for c in comps if len(c) == 1)
-    if isolated >= 2:
-        return True
-    if isolated == 1:
-        return _has_odd_two_component(a, comps)
-    return False
+    isolated, odd_two = _gcd_graph_reading(exponents)
+    return isolated >= 2 or (isolated == 1 and odd_two)
 
 
 class Dim5Kind(Enum):
@@ -386,6 +356,14 @@ def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
     return kept, _half_sums(halves[1 - k], modulus, top).items()
 
 
+def _check_box(a, budget):
+    """BudgetExceeded when the signature's lattice box prod(a) is over
+    ``budget``; the cached signature is held to the same bound."""
+    box = math.prod(a)
+    if box > budget:
+        raise BudgetExceeded(f"lattice box {box} exceeds budget {budget}")
+
+
 def milnor_signature_dim7(exponents, budget=10**9):
     """Signature of the Milnor fibre intersection form for a 7-dim link.
 
@@ -412,9 +390,7 @@ def milnor_signature_dim7(exponents, budget=10**9):
             f"signature is computed for 7-dimensional links "
             f"(five exponents); got {len(a)}"
         )
-    box = math.prod(a)
-    if box > budget:
-        raise BudgetExceeded(f"lattice box {box} exceeds budget {budget}")
+    _check_box(a, budget)
     d = math.lcm(*a)
     twod = 2 * d
     steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]

@@ -93,8 +93,9 @@ class LinkProfile:
     recip_sum : Fraction, sum of 1/a_j; the link is "positive" (log Fano
         range) exactly when this exceeds 1
 
-    The subset lattice (:func:`_lattice_strata`) is walked on first use and
-    kept with the profile, so the invariants handed one profile share it.
+    The subset lattice (:func:`_lattice_strata`) and the components of the
+    gcd graph are computed on first use and kept with the profile, so the
+    invariants handed one profile share them.
     """
 
     exponents: tuple
@@ -103,15 +104,33 @@ class LinkProfile:
     link_dim: int
     recip_sum: Fraction
 
-    @property
+    @cached_property
     def gcd_graph(self):
-        """Edges (i, j), i < j, with gcd(a_i, a_j) > 1."""
+        """Edges (i, j), i < j, with gcd(a_i, a_j) > 1: Brieskorn's graph."""
         a = self.exponents
         return tuple(
             (i, j)
             for i, j in combinations(range(len(a)), 2)
             if math.gcd(a[i], a[j]) > 1
         )
+
+    @cached_property
+    def _gcd_components(self):
+        """Connected components of :attr:`gcd_graph`, as tuples of indices."""
+        parent = list(range(len(self.exponents)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in self.gcd_graph:
+            parent[find(i)] = find(j)
+        comps = {}
+        for i in range(len(parent)):
+            comps.setdefault(find(i), []).append(i)
+        return tuple(map(tuple, comps.values()))
 
     @property
     def canonical(self):

@@ -35,6 +35,7 @@ from .einstein import (
 from .homology import (
     Dim5Kind,
     Dim5Type,
+    _check_box,
     diffeo_type_dim5,
     is_homotopy_sphere,
     is_rational_homology_sphere,
@@ -48,7 +49,6 @@ __all__ = [
     "build_record",
     "cached_record",
     "KNOWN_SE_EXISTS",
-    "FILTER_NAMES",
     "enumerate_links",
     "SweepSpec",
     "parse_sweep_spec",
@@ -57,7 +57,6 @@ __all__ = [
     "find_mec_collisions",
     "export_records",
     "import_records",
-    "CSV_HEADER",
 ]
 
 
@@ -481,15 +480,21 @@ def export_records(records, path, fmt=None):
     """
     fmt = _format_of(path, fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, delimiter=";", lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(";"))
-            for rec in records:
-                writer.writerow(record_to_csv_row(rec))
-        else:
-            for rec in records:
-                fh.write(json.dumps(record_to_json_dict(rec)))
-                fh.write("\n")
+        _write_records(records, fh, fmt)
+
+
+def _write_records(records, fh, fmt):
+    """Write records to the open text stream ``fh`` in ``fmt`` (csv or
+    jsonl); the CLI prints a census to stdout through this too."""
+    if fmt == "csv":
+        writer = csv.writer(fh, delimiter=";", lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(";"))
+        for rec in records:
+            writer.writerow(record_to_csv_row(rec))
+    else:
+        for rec in records:
+            fh.write(json.dumps(record_to_json_dict(rec)))
+            fh.write("\n")
 
 
 def _check_csv_row(row, rec):
@@ -580,7 +585,8 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
     Controlled by the BRIESKORN_CACHE_DIR environment variable; when unset,
     this is exactly :func:`build_record`.  Cache files store the canonical
     record and are enriched in place when a later call asks for an optional
-    field (sig7, sh0_rank) the cached copy lacks.  Writes are atomic
+    field (sig7, sh0_rank) the cached copy lacks, yet a call returns what
+    :func:`build_record` would, budget check included.  Writes are atomic
     (temp file + rename), so concurrent readers never see a torn file.
     """
     link = make_link(exponents)
@@ -601,11 +607,12 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
         rec = build_record(canon_link, sig7_budget=sig7_budget, with_sh0=with_sh0)
         dirty = True
     else:
-        if sig7_budget is not None and rec.sig7 is None and len(canon) == 5:
-            rec = replace(
-                rec, sig7=milnor_signature_dim7(canon, budget=sig7_budget)
-            )
-            dirty = True
+        if sig7_budget is not None and len(canon) == 5:
+            _check_box(canon, sig7_budget)  # a cached sig7 too
+            if rec.sig7 is None:
+                sig7 = milnor_signature_dim7(canon, budget=sig7_budget)
+                rec = replace(rec, sig7=sig7)
+                dirty = True
         if with_sh0 and rec.sh0_rank is None and rec.mu_P != 0:
             rec = replace(rec, sh0_rank=sh_plus_ranks(link, 0, 0).ranks[0])
             dirty = True
@@ -620,6 +627,9 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    if rec.exponents != link.exponents:
-        rec = replace(rec, exponents=link.exponents, weights=link.weights)
+    sig7 = rec.sig7 if sig7_budget is not None else None
+    sh0 = rec.sh0_rank if with_sh0 else None
+    if (rec.exponents, rec.sig7, rec.sh0_rank) != (link.exponents, sig7, sh0):
+        rec = replace(rec, exponents=link.exponents, weights=link.weights,
+                      sig7=sig7, sh0_rank=sh0)  # a hit's common case skips this
     return rec

@@ -134,6 +134,37 @@ def test_enumerate_out_file(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_enumerate_stdout_equals_export_file(tmp_path, capsys, fmt):
+    # stdout and export_records share one record writer
+    from brieskorn import enumerate_links, export_records
+
+    _, out, _ = run_cli(
+        capsys, "enumerate", "--dim", "5", "--max-exponent", "6",
+        "--format", fmt,
+    )
+    path = tmp_path / f"census.{fmt}"
+    export_records(enumerate_links(5, 6), path, fmt)
+    assert out.encode() == path.read_bytes()
+
+
+def test_analyze_stdout_does_not_depend_on_the_cache(tmp_path, capsys,
+                                                     monkeypatch):
+    # box 2*3*5*7*4763 > 1e6, so a plain call skips the signature; a cached
+    # --sig7 or --sh0 record must not leak its extras into a plain call
+    v = "2,3,5,7,4763"
+    monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
+    plain = [run_cli(capsys, "analyze", v, *flags)[1]
+             for flags in [("--json",), ()]]
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    assert run_cli(capsys, "analyze", v, "--sig7", "--sh0")[0] == 0
+    assert [run_cli(capsys, "analyze", v, *flags)[1]
+            for flags in [("--json",), ()]] == plain
+    assert json.loads(plain[0])["sig7"] is None
+    code, out, _ = run_cli(capsys, "analyze", v, "--sig7", "--sig7-budget", "10")
+    assert (code, out) == (3, "")
+
+
 def test_collide_from_file(tmp_path, capsys):
     from brieskorn import export_records
 

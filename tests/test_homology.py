@@ -9,11 +9,14 @@ import pytest
 
 from brieskorn import (
     BudgetExceeded,
+    CoprimeVerdict,
     Dim5Kind,
     DimensionMismatch,
     DimensionTooLow,
     InvalidExponent,
+    LinkProfile,
     PreconditionFailed,
+    build_record,
     chi_s1,
     diffeo_type_dim5,
     exotic_class_dim7,
@@ -23,6 +26,7 @@ from brieskorn import (
     middle_betti,
     milnor_signature_dim7,
     quotient_betti,
+    se_coprime_iff,
 )
 from brieskorn import homology
 from brieskorn.homology import _lattice_halves
@@ -193,6 +197,88 @@ def test_homotopy_sphere_implies_trivial_rational_homology():
         if is_homotopy_sphere(v):
             assert is_rational_homology_sphere(v), v
             assert middle_betti(v) == 0, v
+
+
+def components_by_union_find(exponents):
+    """Reference gcd-graph components: union every pair with gcd > 1."""
+    parent = list(range(len(exponents)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(range(len(exponents)), 2):
+        if math.gcd(exponents[i], exponents[j]) > 1:
+            parent[find(i)] = find(j)
+    comps = collections.defaultdict(list)
+    for i in range(len(exponents)):
+        comps[find(i)].append(i)
+    return list(comps.values())
+
+
+def sphere_criteria_by_components(exponents):
+    """Reference (homotopy sphere, rational homology sphere) from the
+    components: isolated vertices, and odd components (>= 3) whose pairwise
+    gcds all equal 2."""
+    comps = components_by_union_find(exponents)
+    isolated = sum(1 for c in comps if len(c) == 1)
+    odd_two = any(
+        len(c) >= 3 and len(c) % 2 == 1 and all(
+            math.gcd(exponents[i], exponents[j]) == 2
+            for i, j in itertools.combinations(c, 2)
+        )
+        for c in comps
+    )
+    return (
+        isolated >= 2 or (isolated == 1 and odd_two),
+        isolated >= 1 or odd_two,
+    )
+
+
+@pytest.mark.parametrize("length", [4, 5])
+def test_gcd_graph_criteria_against_components_oracle(length):
+    # every multiset of 4 or 5 exponents in 2..12 (1001 and 3003 links)
+    for v in itertools.combinations_with_replacement(range(2, 13), length):
+        link = make_link(v)
+        sphere, rhs = sphere_criteria_by_components(v)
+        assert is_homotopy_sphere(link) is sphere, v
+        assert is_rational_homology_sphere(link) is rhs, v
+        coprime = all(len(c) == 1 for c in components_by_union_find(v))
+        verdict = se_coprime_iff(link)
+        assert (verdict is not CoprimeVerdict.NOT_APPLICABLE) is coprime, v
+        if length == 4:
+            t = diffeo_type_dim5(link)
+            assert (t.kind is Dim5Kind.SPHERE) is sphere, v
+            if t.kind is Dim5Kind.RATIONAL_HOMOLOGY_SPHERE:
+                assert rhs, v
+
+
+def test_gcd_graph_criteria_read_the_profile_components():
+    link = make_link((2, 2, 3, 3))
+    assert link._gcd_components == ((0, 1), (2, 3))
+    assert not is_homotopy_sphere(link)
+    # the criteria read what the profile keeps, not a second walk
+    link.__dict__["_gcd_components"] = ((0,), (1,), (2,), (3,))
+    assert is_homotopy_sphere(link)
+    assert se_coprime_iff(link) is CoprimeVerdict.NOT_APPLICABLE
+    link.__dict__["gcd_graph"] = ()
+    assert se_coprime_iff(link) is not CoprimeVerdict.NOT_APPLICABLE
+
+
+def test_census_record_walks_gcd_graph_once(monkeypatch):
+    prop = LinkProfile.__dict__["_gcd_components"]
+    walk, walked = prop.func, []
+
+    def counting_walk(link):
+        walked.append(link.exponents)
+        return walk(link)
+
+    monkeypatch.setattr(prop, "func", counting_walk)
+    vectors = [(2, 3, 4, 16), (2, 2, 3, 3), (2, 3, 5, 7), (2, 2, 2, 3, 5)]
+    for v in vectors:
+        build_record(v)
+    assert walked == vectors
 
 
 def test_diffeo_type_sphere():

@@ -8,6 +8,7 @@ import pytest
 
 from brieskorn import (
     KNOWN_SE_EXISTS,
+    BudgetExceeded,
     DimensionTooLow,
     InvalidInstance,
     PreconditionFailed,
@@ -361,3 +362,21 @@ def test_cached_record_survives_corruption(tmp_path, monkeypatch):
 def test_cached_record_without_env_is_plain_build(monkeypatch):
     monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
     assert cached_record((2, 3, 4, 16)) == build_record((2, 3, 4, 16))
+
+
+@pytest.mark.parametrize("first", [
+    {"sig7_budget": 10**6}, {"with_sh0": True},
+    {"sig7_budget": 10**6, "with_sh0": True},
+])
+def test_cached_record_hit_equals_build_record(tmp_path, monkeypatch, first):
+    # a hit returns what build_record returns for the same arguments, not
+    # the extras an earlier call stored in the cache file
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    v = (5, 2, 2, 3, 2)
+    assert cached_record(v, **first) == build_record(v, **first)
+    for kwargs in [{}, {"sig7_budget": 10**6}, {"with_sh0": True}]:
+        assert cached_record(v, **kwargs) == build_record(v, **kwargs), kwargs
+    with pytest.raises(BudgetExceeded):
+        build_record(v, sig7_budget=10)
+    with pytest.raises(BudgetExceeded):  # box 120, with sig7 in the cache
+        cached_record(v, sig7_budget=10)
