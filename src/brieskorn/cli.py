@@ -19,7 +19,6 @@ deterministically (same invocation, same bytes).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -35,8 +34,8 @@ from .homology import chi_s1, middle_betti
 from .invariants import mean_euler, sh_plus_ranks
 from .linkmodel import make_link, parse_exponents
 from .tables import (
-    CSV_HEADER,
     FILTER_NAMES,
+    _csv_writer,
     _write_records,
     cached_record,
     enumerate_links,
@@ -222,8 +221,7 @@ def _cmd_sweep(args, out):
     spec = parse_sweep_spec(args.family, args.k_range)
     rows = family_sweep(spec)
     if args.csv:
-        writer = csv.writer(out, delimiter=";", lineterminator="\n")
-        writer.writerow(["k"] + CSV_HEADER.split(";"))
+        writer = _csv_writer(out, ["k"])
         for k, rec in rows:
             writer.writerow([str(k)] + record_to_csv_row(rec))
         return 0

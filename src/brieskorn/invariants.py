@@ -51,11 +51,13 @@ from .errors import (
 from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
+    _check_spectrum_size,
     _strata_kappas,
+    _stratum_period_count,
     _stratum_periods,
     index_set,
     make_link,
-    period_spectrum,
+    period_spectrum,  # noqa: F401  not called; perfbench's self-test wraps it
 )
 
 __all__ = [
@@ -308,8 +310,8 @@ class GradedRanks:
         }
 
 
-# Most candidate periods (plus window degrees) one page or one spectrum sum
-# may walk.
+# Most candidate periods (plus window degrees) one page may walk, and most
+# candidate periods one rank average may sieve.
 _MAX_PAGE_WORK = 1 << 24
 
 
@@ -459,8 +461,13 @@ def mean_euler_from_ranks(link, strict=False):
     multiple of mu_P (even), so the sum is read off the first block's
     columns as sum (-1)^shift * chi.  Independent of :func:`mean_euler`
     (no phi counts), which makes the agreement of the two a strong
-    cross-check.  The cost is one pass over the period spectrum, sum d/T_i
-    over the strata; past 2^24 periods BudgetExceeded is raised up front.
+    cross-check.  Every shift has the parity of n + 1, since
+    shift - (n+1) = 2(sum floor(T/a_j) - T) - 2|I| + 2, so the sum has one
+    term per stratum: chi with the sign at its minimal period, times the
+    periods T <= d it labels.  Those are counted by one sieve pass of
+    d/T_i bytes over the stratum's multiples, so the cost is sum d/T_i
+    bytes and slice steps, with no period spectrum built; past 2^24
+    BudgetExceeded is raised up front.
 
     In the lacunary case the first-page ranks are the homology ranks, so
     this is literally the defining average.  When the page is not lacunary
@@ -469,8 +476,9 @@ def mean_euler_from_ranks(link, strict=False):
     adjacent degrees, and by periodicity the pairs straddling the window
     boundary balance.  Pass ``strict=True`` to demand the certified reading
     and get NotLacunary when the stable window fails the check.  Only then
-    is the page built, on the stable window, which lies just above the
-    first block's degree support for mu_P > 0 and just below it for
+    are the first block's periods streamed, stratum by stratum, for their
+    shifts, and the page built on the stable window, which lies just above
+    the first block's degree support for mu_P > 0 and just below it for
     mu_P < 0.
 
     >>> mean_euler_from_ranks(make_link((2, 3, 4, 16))).value
@@ -483,29 +491,23 @@ def mean_euler_from_ranks(link, strict=False):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    work = sum(link.degree // s.min_period for s in st)
-    if work > _MAX_PAGE_WORK:
-        raise BudgetExceeded(
-            f"period spectrum of {link.exponents} has up to {work} entries, "
-            f"over {_MAX_PAGE_WORK}"
-        )
-    chi = {s.min_period: _quotient_chi(len(s.exponents), kappa)
-           for s, kappa in zip(st, kappas)}
-    entries = period_spectrum(link).entries
-    shifts = [_shift(link, len(s.exponents), t) for t, s in entries]
-    alternating = sum(
-        -chi[s.min_period] if shift % 2 else chi[s.min_period]
-        for shift, (_, s) in zip(shifts, entries)
-    )
+    _check_spectrum_size(link, st, _MAX_PAGE_WORK)
+    alternating = 0
+    for s, kappa in zip(st, kappas):
+        size = len(s.exponents)
+        chi = _stratum_period_count(link, s) * _quotient_chi(size, kappa)
+        alternating += -chi if _shift(link, size, s.min_period) % 2 else chi
     width = abs(mu_p)
     if strict:
+        shifts = (
+            (_shift(link, len(s.exponents), t), 2 * len(s.exponents) - 4)
+            for s in st
+            for t in _stratum_periods(link, s, 1, link.degree)
+        )
         if mu_p > 0:
-            k_lo = 1 + max(
-                shift + 2 * len(s.exponents) - 4
-                for shift, (_, s) in zip(shifts, entries)
-            )
+            k_lo = 1 + max(shift + span for shift, span in shifts)
         else:
-            k_lo = min(shifts) - width
+            k_lo = min(shift for shift, _ in shifts) - width
         graded = e1_page(link, k_lo, k_lo + width - 1)
         if not graded.lacunary:
             raise NotLacunary(

@@ -272,7 +272,7 @@ def strata(link):
     is the principal stratum (the whole link, at period d).  Distinct strata
     never share a minimal period, because I_T is a function of T alone.
     """
-    return _strata_kappas(link)[0]
+    return _strata_kappas(_as_link(link))[0]
 
 
 def _strata_kappas(link):
@@ -316,18 +316,58 @@ def _stratum_periods(link, stratum, start, stop):
     )
 
 
+def _stratum_period_count(link, stratum):
+    """#{1 <= T <= d : I_T = S}, the periods labelled by ``stratum`` S.
+
+    A sieve over the multiples T = k * p of its minimal period p: an
+    exponent a outside S divides k * p exactly when a / gcd(a, p) divides
+    k, so one bytearray of d/p + 1 marks takes every such step's multiples
+    by slice assignment, and the unmarked k are counted.
+    """
+    p = stratum.min_period
+    size = link.degree // p
+    marks = bytearray(size + 1)
+    for j, a in enumerate(link.exponents):
+        if j not in stratum.index_set:
+            step = a // math.gcd(a, p)
+            marks[step::step] = b"\x01" * (size // step)
+    return size - marks.count(1)
+
+
+def _check_spectrum_size(link, st, bound):
+    """Raise BudgetExceeded when the strata ``st`` have more than ``bound``
+    candidate periods, sum d/T_i (an upper bound on the spectrum's size)."""
+    work = sum(link.degree // s.min_period for s in st)
+    if work > bound:
+        raise BudgetExceeded(
+            f"period spectrum of {link.exponents} has up to {work} entries, "
+            f"over {bound}"
+        )
+
+
+# Most candidate periods, sum d/T_i, the spectrum may hold.  An entry costs
+# about 110 bytes at the peak (its (T, stratum) tuple, T, the list and
+# tuple slots, the sort's keys).  Under a 1 GiB address-space cap
+# (2, 2, 7340031), with 7,340,031 entries at this bound, peaks at 0.80 GiB;
+# (2, 2, 9400009) fails with MemoryError.
+_MAX_SPECTRUM_ENTRIES = 7 << 20
+
+
 def period_spectrum(link):
     """Compute the :class:`PeriodSpectrum` of one principal period.
 
     Built stratum by stratum from the multiples of its minimal period (never
     by scanning 1..d, which is hopeless when d is large and the minimal
     periods are small).  Every period with |I_T| >= 2 is labelled once,
-    because the strata are closed under T -> I_T.
+    because the strata are closed under T -> I_T.  When the candidate
+    periods, sum d/T_i over the strata, are over 7 * 2^20 BudgetExceeded
+    is raised before any entry is built.
     """
+    link = _as_link(link)
     d = link.degree
-    entries = [
-        (t, s) for s in strata(link) for t in _stratum_periods(link, s, 1, d)
-    ]
+    st = strata(link)
+    _check_spectrum_size(link, st, _MAX_SPECTRUM_ENTRIES)
+    entries = [(t, s) for s in st for t in _stratum_periods(link, s, 1, d)]
     entries.sort(key=lambda e: e[0])
     return PeriodSpectrum(entries=tuple(entries), principal_period=d)
 

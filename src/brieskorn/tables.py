@@ -483,12 +483,26 @@ def export_records(records, path, fmt=None):
         _write_records(records, fh, fmt)
 
 
+class _CensusCSV(csv.excel):
+    """The census CSV dialect: ``;`` between cells, ``\\n`` after rows."""
+
+    delimiter = ";"
+    lineterminator = "\n"
+
+
+def _csv_writer(fh, lead=()):
+    """A census CSV writer on ``fh``, the header row already written: the
+    column names in ``lead``, then CSV_HEADER's."""
+    writer = csv.writer(fh, _CensusCSV)
+    writer.writerow([*lead, *CSV_HEADER.split(";")])
+    return writer
+
+
 def _write_records(records, fh, fmt):
     """Write records to the open text stream ``fh`` in ``fmt`` (csv or
     jsonl); the CLI prints a census to stdout through this too."""
     if fmt == "csv":
-        writer = csv.writer(fh, delimiter=";", lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(";"))
+        writer = _csv_writer(fh)
         for rec in records:
             writer.writerow(record_to_csv_row(rec))
     else:
@@ -525,7 +539,7 @@ def import_records(path, fmt=None):
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            reader = csv.reader(fh, delimiter=";")
+            reader = csv.reader(fh, _CensusCSV)
             try:
                 header = next(reader)
             except StopIteration:

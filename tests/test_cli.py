@@ -81,6 +81,17 @@ def test_se_check(capsys):
 def test_sweep_csv_pin(capsys):
     code, out, _ = run_cli(capsys, "sweep", "2,3,4,4+12k", "0..5", "--csv")
     assert code == 0
+    # the census CSV dialect with a leading k column, byte for byte
+    assert out == (
+        "k;exponents;dim;degree;mu_P;chi_m;middle_rank;homotopy_sphere;"
+        "dim5_type;se_verdict;kuranishi_dim;perturbation_count;sh0_rank\n"
+        "0;2,3,4,4;5;12;8;1/2;0;false;RationalHomologySphere(M3);Unknown;1;6;\n"
+        "1;2,3,4,16;5;48;14;25/14;0;false;RationalHomologySphere(M3);Unknown;2;6;\n"
+        "2;2,3,4,28;5;84;20;23/10;0;false;RationalHomologySphere(M3);Obstructed;2;6;\n"
+        "3;2,3,4,40;5;120;26;67/26;0;false;RationalHomologySphere(M3);Obstructed;2;6;\n"
+        "4;2,3,4,52;5;156;32;11/4;0;false;RationalHomologySphere(M3);Obstructed;2;6;\n"
+        "5;2,3,4,64;5;192;38;109/38;0;false;RationalHomologySphere(M3);Obstructed;2;6;\n"
+    )
     lines = out.splitlines()
     assert lines[0].startswith("k;exponents;")
     assert [line.split(";")[5] for line in lines[1:]] == [

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,30 @@ def test_strict_mode_raises_exactly_when_not_lacunary():
         mean_euler_from_ranks(make_link((2, 3, 4, 16)), strict=True)
     v = mean_euler_from_ranks(make_link((2, 3, 7, 22)), strict=True)
     assert v.value == Fraction(77, 10)
+    # mu_P < 0: the stable window lies below the first block; (2,7,7,7)
+    # above has mu_P = -2 too
+    v = mean_euler_from_ranks(make_link((3, 4, 5, 7)), strict=True)
+    assert v.value == Fraction(113, 62)
+    v = mean_euler_from_ranks(make_link((2, 7, 7, 8)), strict=True)
+    assert v.value == Fraction(11, 2)
+
+
+def test_rank_average_builds_no_spectrum():
+    # 16.0M candidate periods, inside the 2^24 budget: the rank average
+    # counts them one stratum at a time, in at most d/2 = 12M sieve bytes,
+    # where a sorted spectrum of its 12M entries needs about 1.3 GB
+    vec = (2, 2, 2, 3, 4000001)
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        value = mean_euler_from_ranks(vec).value
+        elapsed = time.monotonic() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == mean_euler(vec).value
+    assert elapsed < 2
+    assert peak < 64 << 20
 
 
 def test_non_lacunary_page_is_flagged():

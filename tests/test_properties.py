@@ -13,6 +13,7 @@ perturbations) with their direct oracles.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from brieskorn import (
     sylvester_sequence,
 )
 from brieskorn.homology import _quotient_chi
-from brieskorn.linkmodel import _lattice_strata
+from brieskorn.linkmodel import _lattice_strata, _stratum_period_count
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
 
@@ -126,6 +127,24 @@ def test_lattice_count_is_phi_and_the_spectrum_count(vec):
         for _, s in period_spectrum(link).entries:
             labels[s.index_set] = labels.get(s.index_set, 0) + 1
         assert labels == {frozenset(i): count for i, _, count, _ in rows}
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(2, 6) | st.integers(2, 40), min_size=3, max_size=6)
+    .map(tuple)
+)
+def test_sieve_count_is_the_lattice_count(vec):
+    # the rank average counts each stratum's periods by a sieve over its
+    # multiples; small exponents make repeats, so strata of several sizes
+    link = make_link(vec)
+    sieved = {
+        s.index_set: _stratum_period_count(link, s) for s in strata(link)
+    }
+    assert sieved == {frozenset(i): e for i, _, e, _ in link._lattice}
+    if sum(link.degree // t for _, t, _, _ in link._lattice) <= 200_000:
+        labels = Counter(s.index_set for _, s in period_spectrum(link).entries)
+        assert labels == sieved
 
 
 @SETTINGS
