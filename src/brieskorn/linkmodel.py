@@ -272,7 +272,7 @@ def strata(link):
     is the principal stratum (the whole link, at period d).  Distinct strata
     never share a minimal period, because I_T is a function of T alone.
     """
-    return _strata_kappas(_as_link(link))[0]
+    return _strata_kappas(link)[0]
 
 
 def _strata_kappas(link):
@@ -363,7 +363,6 @@ def period_spectrum(link):
     periods, sum d/T_i over the strata, are over 7 * 2^20 BudgetExceeded
     is raised before any entry is built.
     """
-    link = _as_link(link)
     d = link.degree
     st = strata(link)
     _check_spectrum_size(link, st, _MAX_SPECTRUM_ENTRIES)

@@ -179,18 +179,12 @@ def test_period_spectrum_labels_match_index_sets():
             assert stratum.index_set == index_set(link, t), (v, t)
 
 
-def test_strata_and_spectrum_take_an_exponent_vector():
-    link = make_link((2, 3, 4, 16))
-    assert strata((2, 3, 4, 16)) == strata(link)
-    assert period_spectrum((2, 3, 4, 16)) == period_spectrum(link)
-
-
 def test_period_spectrum_refuses_oversize_spectrum():
     # 16.0M candidate periods: refused before any of the ~1.3 GB of
     # entries is built
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        period_spectrum((2, 2, 2, 3, 4000001))
+        period_spectrum(make_link((2, 2, 2, 3, 4000001)))
     assert time.monotonic() - t0 < 1
 
 
