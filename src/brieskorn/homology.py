@@ -284,7 +284,7 @@ def diffeo_type_dim5(exponents):
         raise DimensionMismatch(
             f"dim-5 classification needs four exponents, got {len(a)}"
         )
-    kappa = link._lattice[-1][3]  # kappa of all indices
+    kappa = link.strata[-1].middle_rank  # the principal stratum
     srt = tuple(sorted(a))
     if is_homotopy_sphere(link):
         if kappa != 0:

@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -52,7 +50,6 @@ from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
     _check_spectrum_size,
-    _strata_kappas,
     _stratum_period_count,
     _stratum_periods,
     index_set,
@@ -244,10 +241,11 @@ def mean_euler(link):
     Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
     periods and divides by |mu_P|; E(S) = #{T <= d : I_T = S} is the
     stratum's :func:`phi`, and chi^{S^1} comes from kappa(S), the sub-link's
-    middle Betti number.  The profile's one walk over the 2^(n+1) index
-    subsets yields both (past 2^18 BudgetExceeded is raised).  Exact rational
-    arithmetic.  Raises ZeroPrincipalIndex when mu_P = 0 (the average does
-    not converge to a finite period-independent value).
+    middle Betti number.  Both are read off the profile's strata, from one
+    walk over the 2^(n+1) index subsets (past 2^18 BudgetExceeded is
+    raised).  Exact rational arithmetic.  Raises ZeroPrincipalIndex when
+    mu_P = 0 (the average does not converge to a finite period-independent
+    value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -261,9 +259,10 @@ def mean_euler(link):
             f"principal index of {link.exponents} is zero"
         )
     numerator = 0
-    for idx, t, count, kappa in link._lattice:
-        chi = count * _quotient_chi(len(idx), kappa)
-        numerator += -chi if _shift(link, len(idx), t) % 2 else chi
+    for s in link.strata:
+        size = len(s.exponents)
+        chi = s.period_count * _quotient_chi(size, s.middle_rank)
+        numerator += -chi if _shift(link, size, s.min_period) % 2 else chi
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 
@@ -271,7 +270,6 @@ def mean_euler(link):
 class PageColumn:
     """One column of the first page: a stratum traversed with some period."""
 
-    ordinal: int
     period: int
     cover: int
     exponents: tuple
@@ -287,9 +285,10 @@ class GradedRanks:
     ``period_degree`` is mu_P (degrees repeat with this period across action
     blocks), ``period_action`` the principal period.  ``lacunary`` certifies
     that no two first-page entries with total degree in [k_lo-1, k_hi+1]
-    sit at adjacent degrees with the later one in an earlier column -- the
-    degeneration criterion; when it holds the ranks are exact, otherwise
-    they are upper bounds.  ``columns`` retains the contributing columns.
+    sit at adjacent degrees with the later one in a column of smaller
+    period -- the degeneration criterion; when it holds the ranks are
+    exact, otherwise they are upper bounds.  ``columns`` retains the
+    contributing columns.
     """
 
     k_lo: int
@@ -315,39 +314,20 @@ class GradedRanks:
 _MAX_PAGE_WORK = 1 << 24
 
 
-def _ordinal_terms(link, t_max):
-    """Tuples (L...), (c...) with #{1 <= T <= t : |I_T| >= 2} = sum c*(t//L).
-
-    For a set of k indices, sum over its subsets S with |S| >= 2 of
-    (-1)^|S| (|S| - 1) is 1 when k >= 2 and 0 otherwise, so the count is an
-    inclusion-exclusion over exponent subsets, grouped by L = lcm(a_S) and
-    kept for L <= t_max (the rest contribute 0 for t <= t_max).
-    """
-    a = link.exponents
-    coef = {}
-    for size in range(2, len(a) + 1):
-        for sub in combinations(a, size):
-            l = math.lcm(*sub)
-            if l <= t_max:
-                coef[l] = coef.get(l, 0) + (-1) ** size * (size - 1)
-    coef = {l: c for l, c in coef.items() if c}
-    return tuple(coef), tuple(coef.values())
-
-
 def e1_page(link, k_lo, k_hi):
     """First page of the Morse-Bott spectral sequence, in a degree window.
 
-    Column p > 0 is the p-th period in the spectrum (ordered by action);
-    the column of a stratum traversed with period T contributes the
-    quotient's Betti vector at total degrees shift(T), shift(T)+1, ...,
-    shift(T) + 2q.  Degrees below every column (p <= 0) vanish.
+    Every period T with |I_T| >= 2 labels one column, and the columns are
+    ordered by period (by action); the column of a stratum traversed with
+    period T contributes the quotient's Betti vector at total degrees
+    shift(T), shift(T)+1, ..., shift(T) + 2q.  Degrees below every column
+    vanish.
 
     Only columns that can meet [k_lo-1, k_hi+1] are built.  A column of
     period T spans degrees within n - 1 of T * mu_P / d, which bounds T to
     an interval; each stratum walks its multiples there, skipping those an
-    outside exponent divides (they belong to a bigger stratum).  A column's
-    ordinal, its rank in the spectrum, is counted by inclusion-exclusion.
-    The cost therefore grows with the candidate periods, about
+    outside exponent divides (they belong to a bigger stratum).  The cost
+    therefore grows with the candidate periods, about
     (k_hi - k_lo + 2n) * d / |mu_P| * sum 1/T_i over the strata, not with
     d alone.  When these plus the degrees of the window exceed 2^24,
     BudgetExceeded is raised before anything is built.
@@ -360,7 +340,7 @@ def e1_page(link, k_lo, k_hi):
         raise PreconditionFailed(
             f"empty degree window [{k_lo}, {k_hi}]"
         )
-    st, kappas = _strata_kappas(link)
+    st = link.strata
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
@@ -387,32 +367,30 @@ def e1_page(link, k_lo, k_hi):
             f"{_MAX_PAGE_WORK}"
         )
     found = []
-    for s, kappa in zip(st, kappas):
-        span = 2 * len(s.exponents) - 4
+    for s in st:
+        size = len(s.exponents)
+        span = 2 * size - 4
         betti = None
         for t in _stratum_periods(link, s, t_lo, t_hi):
-            shift = _shift(link, len(s.exponents), t)
+            shift = _shift(link, size, t)
             if shift > hi_m or shift + span < lo_m:
                 continue
             if betti is None:
-                betti = _quotient_ranks(len(s.exponents), kappa)
+                betti = _quotient_ranks(size, s.middle_rank)
             found.append((t, s, shift, betti))
     found.sort(key=lambda e: e[0])
-    lcms, coefs = _ordinal_terms(link, t_hi)
     ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
     columns = []
-    first, last = {}, {}  # per margin degree, the first and last column in it
+    first, last = {}, {}  # per margin degree, its first and last column's period
     for t, s, shift, betti in found:
-        ordinal = sum(map(mul, coefs, map(t.__floordiv__, lcms)))
         for k, b in enumerate(betti, shift):
             if b and lo_m <= k <= hi_m:
-                first.setdefault(k, ordinal)
-                last[k] = ordinal
+                first.setdefault(k, t)
+                last[k] = t
                 if k_lo <= k <= k_hi:
                     ranks[k] += b
         columns.append(
             PageColumn(
-                ordinal=ordinal,
                 period=t,
                 cover=t // s.min_period,
                 exponents=s.exponents,
@@ -426,7 +404,7 @@ def e1_page(link, k_lo, k_hi):
         ranks=ranks,
         period_degree=mu_p,
         period_action=d,
-        lacunary=all(first.get(k - 1, o) >= o for k, o in last.items()),
+        lacunary=all(first.get(k - 1, t) >= t for k, t in last.items()),
         columns=tuple(columns),
     )
 
@@ -476,38 +454,33 @@ def mean_euler_from_ranks(link, strict=False):
     adjacent degrees, and by periodicity the pairs straddling the window
     boundary balance.  Pass ``strict=True`` to demand the certified reading
     and get NotLacunary when the stable window fails the check.  Only then
-    are the first block's periods streamed, stratum by stratum, for their
-    shifts, and the page built on the stable window, which lies just above
-    the first block's degree support for mu_P > 0 and just below it for
-    mu_P < 0.
+    is the page built, on a stable window placed in closed form: every
+    first-block degree lies within n - 1 of T * mu_P / d for some T <= d,
+    so the window starts at mu_P + n when mu_P > 0 and ends at mu_P - n
+    when mu_P < 0.  Every full |mu_P|-wide window past the first block
+    gives the same lacunarity verdict and the same alternating sum.
 
     >>> mean_euler_from_ranks(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
     """
     link = _as_link(link)
-    st, kappas = _strata_kappas(link)
+    st = link.strata
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    _check_spectrum_size(link, st, _MAX_PAGE_WORK)
+    _check_spectrum_size(link, _MAX_PAGE_WORK)
     alternating = 0
-    for s, kappa in zip(st, kappas):
+    for s in st:
         size = len(s.exponents)
-        chi = _stratum_period_count(link, s) * _quotient_chi(size, kappa)
+        count = _stratum_period_count(link, s)
+        chi = count * _quotient_chi(size, s.middle_rank)
         alternating += -chi if _shift(link, size, s.min_period) % 2 else chi
     width = abs(mu_p)
     if strict:
-        shifts = (
-            (_shift(link, len(s.exponents), t), 2 * len(s.exponents) - 4)
-            for s in st
-            for t in _stratum_periods(link, s, 1, link.degree)
-        )
-        if mu_p > 0:
-            k_lo = 1 + max(shift + span for shift, span in shifts)
-        else:
-            k_lo = min(shift for shift, _ in shifts) - width
+        n = len(link.exponents) - 1
+        k_lo = mu_p + n if mu_p > 0 else 2 * mu_p - n + 1
         graded = e1_page(link, k_lo, k_lo + width - 1)
         if not graded.lacunary:
             raise NotLacunary(

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, DimensionTooLow
 from .errors import InternalInconsistency, InvalidExponent
@@ -93,8 +94,8 @@ class LinkProfile:
     recip_sum : Fraction, sum of 1/a_j; the link is "positive" (log Fano
         range) exactly when this exceeds 1
 
-    The subset lattice (:func:`_lattice_strata`) and the components of the
-    gcd graph are computed on first use and kept with the profile, so the
+    The strata (:func:`_lattice_strata`) and the components of the gcd
+    graph are computed on first use and kept with the profile, so the
     invariants handed one profile share them.
     """
 
@@ -137,7 +138,8 @@ class LinkProfile:
         return canonical_exponents(self.exponents)
 
     @cached_property
-    def _lattice(self):
+    def strata(self):
+        """The :class:`Stratum` tuple of :func:`_lattice_strata`."""
         return _lattice_strata(self)
 
 
@@ -196,8 +198,7 @@ def index_set(link, period):
     )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """One stratum of the Reeb flow: a sub-link fixed by the time-T map.
 
     Attributes
@@ -207,12 +208,17 @@ class Stratum:
     min_period : lcm of the sub-link's exponents; the stratum appears in the
         period spectrum exactly at the multiples of this
     dim : 2*|I_T| - 3, the real dimension of the sub-link
+    period_count : E(S) = #{1 <= T <= d : I_T = S}, the periods it labels
+        (its :func:`~brieskorn.invariants.phi`)
+    middle_rank : kappa(S), the sub-link's middle Betti number
     """
 
     index_set: frozenset
     exponents: tuple
     min_period: int
     dim: int
+    period_count: int
+    middle_rank: int
 
 
 # Most index subsets 2^(n+1) a subset walk may visit (about a second); it
@@ -221,14 +227,15 @@ _MAX_SUBSETS = 1 << 18
 
 
 def _lattice_strata(link):
-    """(indices, lcm(a_S), E(S), kappa(S)) for each index subset S with
-    |S| >= 2 and E(S) = #{1 <= T <= d : I_T = S} > 0 (the strata), in
-    bit-mask order (the principal stratum last).
+    """All strata of the Reeb flow, as :class:`Stratum` tuples sorted by
+    minimal period (the principal stratum, at period d, last).
 
-    One walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
+    They are the index subsets S with |S| >= 2 and E(S) > 0, read off one
+    walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
     lcm(lcm of S minus its lowest index j, a_j), prod(a_S) likewise.  Per
     index, Moebius transforms turn #{T : S within I_T} = d / lcm(a_S) into
-    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).
+    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  More
+    than 2^18 subsets raise BudgetExceeded before anything is allocated.
     """
     a = link.exponents
     if len(a) < 3:
@@ -256,33 +263,28 @@ def _lattice_strata(link):
     if min(kappas) < 0:  # each kappa(S) counts lattice points
         raise InternalInconsistency(f"negative sub-link middle rank in {a}")
     bits = range(len(a))
-    return tuple([
-        (tuple([j for j in bits if s >> j & 1]), lcms[s], e, kappas[s])
-        for s, e in enumerate(counts)
-        if e > 0 and s & (s - 1)
-    ])
+    out = []
+    for s, e in enumerate(counts):
+        if e > 0 and s & (s - 1):
+            idx = [j for j in bits if s >> j & 1]
+            out.append(Stratum(
+                frozenset(idx), tuple([a[j] for j in idx]), lcms[s],
+                2 * len(idx) - 3, e, kappas[s],
+            ))
+    out.sort(key=lambda st: st.min_period)
+    return tuple(out)
 
 
 def strata(link):
     """All strata of the Reeb flow, sorted by minimal period.
 
     They are the index sets S, |S| >= 2, with S = I_T for some T <= d, each
-    at its minimal period lcm{a_j : j in S}, read off one walk over the
-    2^(n+1) index subsets (more than 2^18 raise BudgetExceeded).  The last
-    is the principal stratum (the whole link, at period d).  Distinct strata
-    never share a minimal period, because I_T is a function of T alone.
+    at its minimal period lcm{a_j : j in S}, with its period count E(S) and
+    middle rank kappa(S); see :func:`_lattice_strata`.  The last is the
+    principal stratum (the whole link, at period d).  Distinct strata never
+    share a minimal period, because I_T is a function of T alone.
     """
-    return _strata_kappas(link)[0]
-
-
-def _strata_kappas(link):
-    """:func:`strata` and, in the same order, each stratum's kappa(S)."""
-    a = link.exponents
-    rows = sorted(link._lattice, key=lambda e: e[1])
-    return tuple(
-        Stratum(frozenset(idx), tuple(a[j] for j in idx), t, 2 * len(idx) - 3)
-        for idx, t, _, _ in rows
-    ), [kappa for _, _, _, kappa in rows]
+    return _as_link(link).strata
 
 
 @dataclass(frozen=True)
@@ -334,10 +336,10 @@ def _stratum_period_count(link, stratum):
     return size - marks.count(1)
 
 
-def _check_spectrum_size(link, st, bound):
-    """Raise BudgetExceeded when the strata ``st`` have more than ``bound``
+def _check_spectrum_size(link, bound):
+    """Raise BudgetExceeded when the link's strata have more than ``bound``
     candidate periods, sum d/T_i (an upper bound on the spectrum's size)."""
-    work = sum(link.degree // s.min_period for s in st)
+    work = sum(link.degree // s.min_period for s in link.strata)
     if work > bound:
         raise BudgetExceeded(
             f"period spectrum of {link.exponents} has up to {work} entries, "
@@ -363,10 +365,12 @@ def period_spectrum(link):
     periods, sum d/T_i over the strata, are over 7 * 2^20 BudgetExceeded
     is raised before any entry is built.
     """
+    link = _as_link(link)
     d = link.degree
-    st = strata(link)
-    _check_spectrum_size(link, st, _MAX_SPECTRUM_ENTRIES)
-    entries = [(t, s) for s in st for t in _stratum_periods(link, s, 1, d)]
+    _check_spectrum_size(link, _MAX_SPECTRUM_ENTRIES)
+    entries = [
+        (t, s) for s in link.strata for t in _stratum_periods(link, s, 1, d)
+    ]
     entries.sort(key=lambda e: e[0])
     return PeriodSpectrum(entries=tuple(entries), principal_period=d)
 

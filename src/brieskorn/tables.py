@@ -135,7 +135,7 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
         recip_sum=link.recip_sum,
         mu_P=mu_p,
         chi_m=chi_m,
-        middle_rank=link._lattice[-1][3],  # kappa of all indices
+        middle_rank=link.strata[-1].middle_rank,  # the principal stratum
         homotopy_sphere=sphere,
         rhs=rhs,
         dim5_type=d5,
@@ -173,14 +173,13 @@ def _length_for_dim(dim):
     return (dim + 3) // 2
 
 
-def enumerate_links(dim, max_exponent, filters=(), jobs=1):
+def enumerate_links(dim, max_exponent, filters=()):
     """All canonical (non-decreasing) exponent vectors of the given link
     dimension with entries in [2, max_exponent], in lexicographic order,
     as full records, optionally filtered.
 
     ``filters`` is an iterable of names among positive / se_exists /
-    se_unknown / homotopy_sphere / rhs, combined with AND.  ``jobs`` is
-    accepted and ignored: the census runs in this process.
+    se_unknown / homotopy_sphere / rhs, combined with AND.
     """
     length = _length_for_dim(dim)
     if max_exponent < 2:

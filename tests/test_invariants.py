@@ -83,7 +83,7 @@ def e1_page_by_blocks(link, k_lo, k_hi):
                     ranks[shift + l] += b
             period = t + m * link.degree
             columns.append(PageColumn(
-                ordinal=ordinal, period=period, cover=period // s.min_period,
+                period=period, cover=period // s.min_period,
                 exponents=s.exponents, shift=shift, ranks=betti,
             ))
     first, last = {}, {}
@@ -308,12 +308,6 @@ def test_page_vanishes_below_minimal_shift():
         assert all(r == 0 for r in g.ranks.values()), v
 
 
-def test_page_columns_are_positive_ordinals():
-    g = e1_page(make_link((2, 3, 4, 16)), 0, 20)
-    assert g.columns
-    assert all(c.ordinal >= 1 for c in g.columns)
-
-
 def test_page_rejects_empty_window():
     with pytest.raises(PreconditionFailed):
         e1_page(make_link((2, 3, 4, 16)), 5, 4)
@@ -457,4 +451,8 @@ def test_page_and_rank_average_refuse_oversize_work():
     # of ranks is allocated
     with pytest.raises(BudgetExceeded):
         e1_page(make_link((5, 23, 27, 28, 29)), 0, 1 << 24)
+    # mu_P = 40,000,022: the strict stable window alone is over the page
+    # budget, so it is refused before any period is walked
+    with pytest.raises(BudgetExceeded):
+        mean_euler_from_ranks((2, 2, 2, 3, 4000001), strict=True)
     assert time.monotonic() - t0 < 1

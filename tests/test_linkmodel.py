@@ -15,6 +15,7 @@ from brieskorn import (
     canonical_exponents,
     index_set,
     make_link,
+    middle_betti,
     parse_exponents,
     period_spectrum,
     strata,
@@ -25,7 +26,9 @@ from brieskorn import (
 
 def strata_by_closure(link):
     """Reference strata: close every index subset of size >= 2 under
-    T = lcm(a_S), S -> I_T, and keep one stratum per period."""
+    T = lcm(a_S), S -> I_T, and keep one stratum per period.  Its period
+    count scans the periods T <= d (only multiples of its minimal period
+    can have I_T = S), and its middle rank is middle_betti's."""
     a = link.exponents
     found = {}
     for size in range(2, len(a) + 1):
@@ -33,11 +36,17 @@ def strata_by_closure(link):
             t = math.lcm(*(a[j] for j in subset))
             if t not in found:
                 idx = index_set(link, t)
+                sub = tuple(a[j] for j in sorted(idx))
                 found[t] = Stratum(
                     index_set=idx,
-                    exponents=tuple(a[j] for j in sorted(idx)),
+                    exponents=sub,
                     min_period=t,
                     dim=2 * len(idx) - 3,
+                    period_count=sum(
+                        index_set(link, m) == idx
+                        for m in range(t, link.degree + 1, t)
+                    ),
+                    middle_rank=middle_betti(sub),
                 )
     return tuple(sorted(found.values(), key=lambda s: s.min_period))
 
@@ -143,6 +152,12 @@ def test_strata_match_the_closure_reference():
     for v in vectors:
         link = make_link(v)
         assert strata(link) == strata_by_closure(link), v
+
+
+def test_strata_and_spectrum_accept_an_exponent_vector():
+    link = make_link((2, 3, 4, 16))
+    assert strata((2, 3, 4, 16)) == strata(link)
+    assert period_spectrum((2, 3, 4, 16)) == period_spectrum(link)
 
 
 def test_strata_need_three_exponents():

@@ -28,6 +28,7 @@ from brieskorn import (
     is_homotopy_sphere,
     is_rational_homology_sphere,
     make_link,
+    maslov_index,
     mean_euler,
     mean_euler_from_ranks,
     middle_betti,
@@ -115,18 +116,17 @@ def test_lattice_count_is_phi_and_the_spectrum_count(vec):
     # phi against the larger strata periods and its number of spectrum
     # entries; the spectrum is listed only while it stays small
     link = make_link(vec)
-    rows = sorted(_lattice_strata(link), key=lambda row: row[1])
-    assert [(frozenset(i), t) for i, t, _, _ in rows] == [
-        (s.index_set, s.min_period) for s in strata(link)
-    ]
-    periods = [t for _, t, _, _ in rows]
-    for k, (_, t, count, _) in enumerate(rows):
-        assert count == phi(t, periods[k + 1 :], link.degree)
+    rows = _lattice_strata(link)
+    assert rows == strata(link)
+    periods = [s.min_period for s in rows]
+    assert periods == sorted(periods)
+    for k, s in enumerate(rows):
+        assert s.period_count == phi(s.min_period, periods[k + 1 :], link.degree)
     if sum(link.degree // t for t in periods) <= 200_000:
         labels = {}
         for _, s in period_spectrum(link).entries:
             labels[s.index_set] = labels.get(s.index_set, 0) + 1
-        assert labels == {frozenset(i): count for i, _, count, _ in rows}
+        assert labels == {s.index_set: s.period_count for s in rows}
 
 
 @SETTINGS
@@ -141,8 +141,8 @@ def test_sieve_count_is_the_lattice_count(vec):
     sieved = {
         s.index_set: _stratum_period_count(link, s) for s in strata(link)
     }
-    assert sieved == {frozenset(i): e for i, _, e, _ in link._lattice}
-    if sum(link.degree // t for _, t, _, _ in link._lattice) <= 200_000:
+    assert sieved == {s.index_set: s.period_count for s in link.strata}
+    if sum(link.degree // s.min_period for s in link.strata) <= 200_000:
         labels = Counter(s.index_set for _, s in period_spectrum(link).entries)
         assert labels == sieved
 
@@ -152,10 +152,10 @@ def test_sieve_count_is_the_lattice_count(vec):
 def test_lattice_rows_are_the_betti_oracles(vec):
     # small exponents make repeats, and so strata of several sizes, common
     link = make_link(vec)
-    for idx, _, _, kappa in _lattice_strata(link):
-        sub = tuple(vec[j] for j in idx)
-        assert kappa == middle_betti(sub)
-        assert _quotient_chi(len(idx), kappa) == quotient_betti(sub).chi
+    for s in _lattice_strata(link):
+        sub = tuple(vec[j] for j in sorted(s.index_set))
+        assert s.middle_rank == middle_betti(sub)
+        assert _quotient_chi(len(sub), s.middle_rank) == quotient_betti(sub).chi
 
 
 @SETTINGS
@@ -183,6 +183,34 @@ def test_rank_average_agrees_with_closed_form(vec):
     if principal_index(link) == 0:
         return
     assert mean_euler_from_ranks(link).value == mean_euler(link).value
+
+
+@SETTINGS
+@given(exponent_vectors)
+def test_closed_form_stable_window_reads_as_the_tight_one(vec):
+    # strict mode places its |mu_P|-wide window past the first block in
+    # closed form; the tightest such window starts at the first block's
+    # degree support, read here off every spectrum period's shift
+    link = make_link(vec)
+    mu_p = principal_index(link)
+    if mu_p == 0:
+        return
+    n, width = len(vec) - 1, abs(mu_p)
+    spans = [
+        (maslov_index(link, s.min_period, t // s.min_period).shift,
+         2 * len(s.exponents) - 4)
+        for t, s in period_spectrum(link).entries
+    ]
+    if mu_p > 0:
+        tight = 1 + max(shift + span for shift, span in spans)
+        closed = mu_p + n
+    else:
+        tight = min(shift for shift, _ in spans) - width
+        closed = 2 * mu_p - n + 1
+    pages = [e1_page(link, k, k + width - 1) for k in (tight, closed)]
+    assert pages[0].lacunary == pages[1].lacunary
+    sums = [sum((-1) ** k * r for k, r in g.ranks.items()) for g in pages]
+    assert sums[0] == sums[1]
 
 
 @SETTINGS

@@ -134,12 +134,6 @@ def test_enumerate_se_filters_honor_known_cases():
     assert (2, 2, 2, 3) not in unknown
 
 
-def test_enumerate_sharded_equals_unsharded():
-    one = enumerate_links(5, 7, jobs=1)
-    two = enumerate_links(5, 7, jobs=3)
-    assert one == two
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
