@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import starmap
 
 from .errors import (
     BudgetExceeded,
@@ -277,7 +279,7 @@ class PageColumn:
     ranks: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedRanks:
     """Per-degree ranks of positive equivariant symplectic homology.
 
@@ -288,7 +290,9 @@ class GradedRanks:
     sit at adjacent degrees with the later one in a column of smaller
     period -- the degeneration criterion; when it holds the ranks are
     exact, otherwise they are upper bounds.  ``columns`` retains the
-    contributing columns.
+    contributing columns, a tuple of :class:`PageColumn`; it may be given
+    as any iterable of them, which is read into the tuple on first use, so
+    a caller that reads only the ranks builds no column.
     """
 
     k_lo: int
@@ -297,7 +301,21 @@ class GradedRanks:
     period_degree: int
     period_action: int
     lacunary: bool
-    columns: tuple = ()
+    columns: tuple  # a field, read through the cached_property below
+
+    def __init__(self, k_lo, k_hi, ranks, period_degree, period_action,
+                 lacunary, columns=()):
+        vars(self).update(
+            k_lo=k_lo, k_hi=k_hi, ranks=ranks, period_degree=period_degree,
+            period_action=period_action, lacunary=lacunary, _columns=columns,
+        )
+
+    @cached_property
+    def columns(self):
+        return tuple(self._columns)
+
+    def __getstate__(self):  # pickle and copy the columns, not the iterable
+        return dict(vars(self), _columns=self.columns)
 
     def to_json_dict(self):
         return {
@@ -333,7 +351,8 @@ def e1_page(link, k_lo, k_hi):
     BudgetExceeded is raised before anything is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
-    whose degree span meets [k_lo-1, k_hi+1].
+    whose degree span meets [k_lo-1, k_hi+1], built as :class:`PageColumn`
+    objects only when ``columns`` is first read.
     """
     link = _as_link(link)
     if k_hi < k_lo:
@@ -380,7 +399,6 @@ def e1_page(link, k_lo, k_hi):
             found.append((t, s, shift, betti))
     found.sort(key=lambda e: e[0])
     ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
-    columns = []
     first, last = {}, {}  # per margin degree, its first and last column's period
     for t, s, shift, betti in found:
         for k, b in enumerate(betti, shift):
@@ -389,15 +407,6 @@ def e1_page(link, k_lo, k_hi):
                 last[k] = t
                 if k_lo <= k <= k_hi:
                     ranks[k] += b
-        columns.append(
-            PageColumn(
-                period=t,
-                cover=t // s.min_period,
-                exponents=s.exponents,
-                shift=shift,
-                ranks=betti,
-            )
-        )
     return GradedRanks(
         k_lo=k_lo,
         k_hi=k_hi,
@@ -405,8 +414,14 @@ def e1_page(link, k_lo, k_hi):
         period_degree=mu_p,
         period_action=d,
         lacunary=all(first.get(k - 1, t) >= t for k, t in last.items()),
-        columns=tuple(columns),
+        columns=starmap(_page_column, found),
     )
+
+
+def _page_column(period, stratum, shift, betti):
+    """The :class:`PageColumn` of one column :func:`e1_page` found."""
+    return PageColumn(period, period // stratum.min_period, stratum.exponents,
+                      shift, betti)
 
 
 def sh_plus_ranks(link, k_lo, k_hi):

@@ -30,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, DimensionTooLow
@@ -225,6 +226,48 @@ class Stratum(NamedTuple):
 # is checked before anything is allocated.
 _MAX_SUBSETS = 1 << 18
 
+# Most index subsets of a lattice whose shape is kept.  The shape of the
+# lattice of n positions holds n * 2^(n-1) Moebius pairs and up to 2^n
+# index sets: for 2^n <= 256 (n <= 8 exponents) all kept shapes together
+# are a few thousand small objects, while one for n = 18 would hold 2.4M
+# pairs.  Past the cap a walk builds only what it reads and keeps nothing.
+_MAX_KEPT_SHAPE = 1 << 8
+_LATTICE_SHAPES = {}  # n -> (Moebius pairs, mask -> mask shape), n <= 8
+
+
+def _mask_shape(n, s):
+    """(index frozenset, sub-exponent getter, dim) of the index subset of
+    n positions with bit mask s, |S| >= 2."""
+    idx = [j for j in range(n) if s >> j & 1]
+    return frozenset(idx), itemgetter(*idx), 2 * len(idx) - 3
+
+
+def _moebius_pairs(n):
+    """(S minus j, S) for each index j and each mask S holding j, j-major:
+    the steps of the per-index Moebius transforms, in order."""
+    return (
+        (lo, lo + b)
+        for b in (1 << j for j in range(n))
+        for base in range(0, 1 << n, 2 * b)
+        for lo in range(base, base + b)
+    )
+
+
+def _lattice_shape(n):
+    """The shape of the subset lattice of n positions, which depends on n
+    alone: its Moebius pairs, and a map from each mask with |S| >= 2 to
+    its :func:`_mask_shape`.  Shared by every link with n exponents when
+    2^n <= 256; larger arities get a generator and a per-mask function,
+    so a walk keeps no state."""
+    shape = _LATTICE_SHAPES.get(n)
+    if shape is not None:
+        return shape
+    if 1 << n > _MAX_KEPT_SHAPE:
+        return _moebius_pairs(n), partial(_mask_shape, n)
+    masks = [_mask_shape(n, s) if s & (s - 1) else None for s in range(1 << n)]
+    shape = _LATTICE_SHAPES[n] = (tuple(_moebius_pairs(n)), masks.__getitem__)
+    return shape
+
 
 def _lattice_strata(link):
     """All strata of the Reeb flow, as :class:`Stratum` tuples sorted by
@@ -234,8 +277,12 @@ def _lattice_strata(link):
     walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
     lcm(lcm of S minus its lowest index j, a_j), prod(a_S) likewise.  Per
     index, Moebius transforms turn #{T : S within I_T} = d / lcm(a_S) into
-    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  More
-    than 2^18 subsets raise BudgetExceeded before anything is allocated.
+    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  Which
+    masks those transforms pair, and each mask's index set, sub-exponent
+    getter and dim, depend on n alone: :func:`_lattice_shape` builds them
+    once per arity and shares them, so the walk does only the per-link
+    arithmetic.  More than 2^18 subsets raise BudgetExceeded before
+    anything is allocated.
     """
     a = link.exponents
     if len(a) < 3:
@@ -245,6 +292,7 @@ def _lattice_strata(link):
         )
     if 1 << len(a) > _MAX_SUBSETS:
         raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
+    pairs, mask_shape = _lattice_shape(len(a))
     lcms, prods = [1], [1]  # indexed by the bit mask of S
     for s in range(1, 1 << len(a)):
         rest = s & (s - 1)
@@ -253,24 +301,20 @@ def _lattice_strata(link):
         prods.append(prods[rest] * aj)
     counts = [lcms[-1] // t for t in lcms]
     kappas = [p // t for p, t in zip(prods, lcms)]
-    for bit in (1 << j for j in range(len(a))):
-        for s in range(len(counts)):
-            if s & bit:
-                counts[s ^ bit] -= counts[s]
-                kappas[s] -= kappas[s ^ bit]
+    for lo, hi in pairs:
+        counts[lo] -= counts[hi]
+        kappas[hi] -= kappas[lo]
     if lcms[-1] != link.degree or counts[-1] != 1:
         raise InternalInconsistency("principal stratum missing or misplaced")
     if min(kappas) < 0:  # each kappa(S) counts lattice points
         raise InternalInconsistency(f"negative sub-link middle rank in {a}")
-    bits = range(len(a))
     out = []
     for s, e in enumerate(counts):
         if e > 0 and s & (s - 1):
-            idx = [j for j in bits if s >> j & 1]
-            out.append(Stratum(
-                frozenset(idx), tuple([a[j] for j in idx]), lcms[s],
-                2 * len(idx) - 3, e, kappas[s],
-            ))
+            index_set, getter, dim = mask_shape(s)
+            out.append(
+                Stratum(index_set, getter(a), lcms[s], dim, e, kappas[s])
+            )
     out.sort(key=lambda st: st.min_period)
     return tuple(out)
 

@@ -322,10 +322,8 @@ def find_mec_collisions(records, window=(0, 0)):
     for canon, rec in by_canon.items():
         groups.setdefault(rec.chi_m, []).append(canon)
     out = []
-    for chi_m in sorted(groups):
+    for chi_m in sorted(k for k, canons in groups.items() if len(canons) > 1):
         members = sorted(groups[chi_m])
-        if len(members) < 2:
-            continue
         clusters = {}
         for canon in members:
             gr = sh_plus_ranks(make_link(canon), k_lo, k_hi)
@@ -592,6 +590,21 @@ def _cache_path(canonical):
     return os.path.join(root, f"v{__version__}", name)
 
 
+def _agrees_with_profile(rec, link):
+    """Whether a cached record's profile fields and chi_m are the link's:
+    the exponents, dim, degree, weights, recip_sum, mu_P, the principal
+    stratum's middle rank and mean_euler, all read off one strata walk."""
+    mu_p = principal_index(link)
+    return (
+        rec.exponents, rec.dim, rec.degree, rec.weights, rec.recip_sum,
+        rec.mu_P, rec.middle_rank, rec.chi_m,
+    ) == (
+        link.exponents, link.link_dim, link.degree, link.weights,
+        link.recip_sum, mu_p, link.strata[-1].middle_rank,
+        mean_euler(link).value if mu_p != 0 else None,
+    )
+
+
 def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
     """build_record with a file cache keyed by canonical vector + version.
 
@@ -599,24 +612,29 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
     this is exactly :func:`build_record`.  Cache files store the canonical
     record and are enriched in place when a later call asks for an optional
     field (sig7, sh0_rank) the cached copy lacks, yet a call returns what
-    :func:`build_record` would, budget check included.  Writes are atomic
-    (temp file + rename), so concurrent readers never see a torn file.
+    :func:`build_record` would, budget check included.  A hit is re-checked
+    against the link's profile, strata and mean_euler
+    (:func:`_agrees_with_profile`); a file that disagrees counts as a miss
+    and is rebuilt and rewritten.  Writes are atomic (temp file + rename),
+    so concurrent readers never see a torn file.
     """
     link = make_link(exponents)
     canon = link.canonical
     path = _cache_path(canon)
     if path is None:
         return build_record(link, sig7_budget=sig7_budget, with_sh0=with_sh0)
+    # w_j = d / a_j, so the sorted exponents take the weights descending
+    w = tuple(sorted(link.weights, reverse=True))
+    canon_link = replace(link, exponents=canon, weights=w)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rec = record_from_json_dict(json.load(fh))
     except (OSError, SchemaError, json.JSONDecodeError):
         rec = None
+    if rec is not None and not _agrees_with_profile(rec, canon_link):
+        rec = None
     dirty = False
     if rec is None:
-        # w_j = d / a_j, so the sorted exponents take the weights descending
-        w = tuple(sorted(link.weights, reverse=True))
-        canon_link = replace(link, exponents=canon, weights=w)
         rec = build_record(canon_link, sig7_budget=sig7_budget, with_sh0=with_sh0)
         dirty = True
     else:

@@ -131,6 +131,19 @@ def test_enumerate_jsonl_bytes_pin(capsys):
     )
 
 
+def test_collide_stdout_pin(capsys):
+    # the 63 chi_m collisions among the 495 dim-5 records, pinned byte for
+    # byte: the grouping, their order and the degree-0 rank clusters
+    code, out, _ = run_cli(
+        capsys, "collide", "--dim", "5", "--max-exponent", "10",
+    )
+    assert code == 0
+    assert sum(line.startswith("chi_m = ") for line in out.splitlines()) == 63
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6127d288bebe45709d38679a2a85cb5bc74159d8408e14f07a6648ad601abf39"
+    )
+
+
 def test_enumerate_out_file(tmp_path, capsys):
     path = tmp_path / "census.jsonl"
     code, out, _ = run_cli(
@@ -174,6 +187,22 @@ def test_analyze_stdout_does_not_depend_on_the_cache(tmp_path, capsys,
     assert json.loads(plain[0])["sig7"] is None
     code, out, _ = run_cli(capsys, "analyze", v, "--sig7", "--sig7-budget", "10")
     assert (code, out) == (3, "")
+
+
+def test_analyze_rechecks_a_tampered_cache_file(tmp_path, capsys,
+                                                monkeypatch):
+    # a cache file whose chi_m disagrees with the link's strata is a miss:
+    # the record is rebuilt, printed with the true value and rewritten
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    code, out, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
+    assert (code, json.loads(out)["chi_m"]) == (0, "77/10")
+    [path] = (tmp_path / "cache").rglob("2-3-7-22.json")
+    stored = json.loads(path.read_text())
+    assert stored["chi_m"] == "77/10"
+    path.write_text(json.dumps({**stored, "chi_m": "1/2"}))
+    code, again, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
+    assert (code, again) == (0, out)
+    assert json.loads(path.read_text())["chi_m"] == "77/10"
 
 
 def test_collide_from_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Indices, phi counts, mean Euler characteristics, and graded rank tables."""
 
+import pickle
 import random
 import time
 import tracemalloc
@@ -296,6 +297,37 @@ def test_degree_zero_columns_of_3_3_4_7():
     g = sh_plus_ranks(make_link((3, 3, 4, 7)), 0, 0)
     contrib = {c.period: c.ranks[0 - c.shift] for c in g.columns if c.shift == 0}
     assert contrib == {3: 3, 6: 3, 12: 1}
+
+
+def test_ranks_only_callers_build_no_page_column(monkeypatch):
+    # the page's columns are built when .columns is first read, not by the
+    # callers that read only ranks and lacunary
+    from brieskorn import build_record, find_mec_collisions, invariants
+
+    built = []
+    page_column = invariants.PageColumn
+
+    def counting_page_column(*args, **kwargs):
+        built.append(args)
+        return page_column(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "PageColumn", counting_page_column)
+    pair = [build_record(v, with_sh0=True)
+            for v in [(2, 3, 7, 22), (3, 3, 4, 7)]]
+    assert [rec.sh0_rank for rec in pair] == [6, 7]
+    [group] = find_mec_collisions(pair)
+    assert len(group.clusters) == 2
+    strict = mean_euler_from_ranks(make_link((2, 3, 7, 22)), strict=True)
+    assert strict.value == Fraction(77, 10)
+    g = sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0)
+    assert g.ranks == {0: 6} and built == []
+    columns = g.columns
+    assert len(columns) == len(built) > 0 and g.columns is columns
+    assert g == GradedRanks(g.k_lo, g.k_hi, g.ranks, g.period_degree,
+                            g.period_action, g.lacunary, columns)
+    monkeypatch.undo()
+    fresh = sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0)
+    assert pickle.loads(pickle.dumps(fresh)) == g  # pickles built columns
 
 
 def test_page_vanishes_below_minimal_shift():

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from brieskorn import linkmodel
 from brieskorn import (
     BudgetExceeded,
     DimensionTooLow,
@@ -149,9 +150,23 @@ def test_strata_match_the_closure_reference():
         v += [rng.randint(2, 40)]
         rng.shuffle(v)
         vectors.append(tuple(v))
+    # 7 and 8 exponents walk a kept lattice shape, 9 a transient one
+    vectors += [
+        (2, 3, 4, 6, 8, 9, 12), (3, 2, 6, 2, 4, 5, 10),
+        (2, 2, 3, 4, 6, 6, 8, 12),
+        (2, 3, 4, 6, 8, 9, 12, 2, 3), (6, 2, 2, 3, 4, 5, 10, 3, 15),
+    ]
     for v in vectors:
         link = make_link(v)
         assert strata(link) == strata_by_closure(link), v
+
+
+def test_lattice_shapes_are_kept_for_small_arities_only():
+    strata(make_link((2, 3, 4, 6, 8, 9, 12)))
+    assert 7 in linkmodel._LATTICE_SHAPES
+    strata(make_link((2, 3, 4, 6, 8, 9, 12, 2, 3)))
+    assert 9 not in linkmodel._LATTICE_SHAPES
+    assert max(linkmodel._LATTICE_SHAPES) <= 8
 
 
 def test_strata_and_spectrum_accept_an_exponent_vector():
