@@ -36,6 +36,7 @@ from .linkmodel import make_link, parse_exponents
 from .tables import (
     FILTER_NAMES,
     _csv_writer,
+    _filter_records,
     _write_records,
     cached_record,
     enumerate_links,
@@ -258,7 +259,7 @@ def _cmd_enumerate(args, out):
 
 def _cmd_collide(args, out):
     if args.infile:
-        records = import_records(args.infile, fmt=args.format)
+        records = _filter_records(import_records(args.infile, args.format), args.filter)
     else:
         records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
     k_lo, k_hi = args.window
@@ -375,8 +376,11 @@ def main(argv=None):
     print(f"brieskorn {__version__}", file=sys.stderr)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "collide" and not args.infile:
-        if args.dim is None or args.max_exponent is None:
+    if args.command == "collide":
+        census = (args.dim, args.max_exponent)
+        if args.infile and census != (None, None):
+            parser.error("collide takes --in PATH or --dim and --max-exponent, not both")
+        if not args.infile and None in census:
             parser.error("collide needs --in PATH or both --dim and --max-exponent")
     try:
         return args.func(args, sys.stdout)

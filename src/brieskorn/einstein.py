@@ -340,38 +340,31 @@ def moduli_dimension(link):
     )
 
 
-def _chi_even_odd(k):
-    # k + 2 + (1 - (-1)^{k+1}) / 2: adds 1 exactly when k is even
-    return k + 2 + (1 if k % 2 == 0 else 0)
-
-
 def sylvester_numerator(n, a):
-    """Closed-form numerator for the mean Euler characteristic of the
-    Sylvester links (2, 2c_0, ..., 2c_n, a), as a polynomial identity in a.
+    """Numerator chi_m * |mu_P| of the mean Euler characteristic of the
+    Sylvester link (2, 2c_0, ..., 2c_n, a), summed over its stratum table.
 
-    First sum (strata containing the tail coordinate), ell = 0..n over
-    subsets S of {0..n} with |S| = ell + 1, weighted by (a-1) and
-    chi_A(ell) = ell + 2 + (1 - (-1)^{ell+1})/2; second sum (strata avoiding
-    the tail), ell = 1..n, weighted by chi_B(ell) = ell + 3.  Both weighted
-    by prod_{j not in S}(c_j - 1).
+    For S a subset of {0..n}, a tail stratum {2, a} + {2c_j : j in S} has
+    E = prod_{j not in S}(c_j - 1) and chi = |S| + 1; every other stratum is
+    {2} + {2c_j : j in S} with S non-empty, E = (a - 1) prod_{j not in S}
+    (c_j - 1) and chi = |S| + (|S| mod 2).  Every shift has the sign
+    (-1)^(n+1), so the numerator is
 
-    This closed form and the stratum-by-stratum machinery value
-    (mean_euler * |mu_P|) do not agree -- e.g. 52 vs 43 at n = 1, a = 5 --
-    and no attempt is made to reconcile them here; callers should compute
-    both and report both.  What both forms share: they are affine in a on
-    the admissible arithmetic progressions, with positive slope.
+        (-1)^(n+1) sum_S prod_{j not in S}(c_j - 1)
+                         * [(|S| + 1) + (a - 1)(|S| + |S| mod 2)],
 
-    Preconditions: a >= 2 coprime to c_0..c_n, and the principal index is
-    positive, i.e. a < 2(c_{n+1} - 1).
+    which equals (-1)^(n+1) ((3P - 1) a + P) with P = (c_{n+1} - 1)/2, and
+    mean_euler * |mu_P| of the link.
+
+    Preconditions: n >= 0 and a >= 2 coprime to c_0..c_n.  Such an a is
+    odd, so mu_P = 2(2(c_{n+1} - 1) - a) is never zero.
 
     >>> sylvester_numerator(1, 5)
-    52
+    43
     """
     if n < 0:
         raise PreconditionFailed("need n >= 0")
-    cs = sylvester_sequence(n + 2)
-    tail_cap = 2 * (cs[n + 1] - 1)
-    cs = cs[: n + 1]
+    cs = sylvester_sequence(n + 1)
     if a < 2:
         raise PreconditionFailed(f"tail exponent {a} is below 2")
     for c in cs:
@@ -379,18 +372,9 @@ def sylvester_numerator(n, a):
             raise PreconditionFailed(
                 f"tail exponent {a} shares a factor with sylvester term {c}"
             )
-    if a >= tail_cap:
-        raise PreconditionFailed(
-            f"tail exponent {a} >= {tail_cap}: principal index not positive"
-        )
-    idx = range(n + 1)
     total = 0
-    for ell in range(0, n + 1):
-        for subset in combinations(idx, ell + 1):
-            outside = math.prod(
-                cs[j] - 1 for j in idx if j not in subset
-            )
-            total += outside * (a - 1) * _chi_even_odd(ell)
-            if ell >= 1:  # the second sum starts at ell = 1
-                total += outside * (ell + 3)
-    return total
+    for size in range(n + 2):
+        for subset in combinations(range(n + 1), size):
+            outside = math.prod(c - 1 for j, c in enumerate(cs) if j not in subset)
+            total += outside * (size + 1 + (a - 1) * (size + size % 2))
+    return (-1) ** (n + 1) * total

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import tempfile
@@ -186,6 +187,12 @@ def enumerate_links(dim, max_exponent, filters=()):
         raise PreconditionFailed(
             f"max_exponent must be >= 2, got {max_exponent}"
         )
+    vectors = combinations_with_replacement(range(2, max_exponent + 1), length)
+    return _filter_records(map(build_record, vectors), filters)
+
+
+def _filter_records(records, filters):
+    """The records passing every named filter of :func:`enumerate_links`."""
     preds = []
     for name in filters:
         if name not in _FILTERS:
@@ -193,12 +200,7 @@ def enumerate_links(dim, max_exponent, filters=()):
                 f"unknown filter {name!r}; known: {', '.join(FILTER_NAMES)}"
             )
         preds.append(_FILTERS[name])
-    out = []
-    for vec in combinations_with_replacement(range(2, max_exponent + 1), length):
-        rec = build_record(vec)
-        if all(p(rec) for p in preds):
-            out.append(rec)
-    return out
+    return [rec for rec in records if all(p(rec) for p in preds)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +315,8 @@ def find_mec_collisions(records, window=(0, 0)):
     ``window`` (inclusive degree bounds).
     """
     k_lo, k_hi = window
+    if k_hi < k_lo:
+        raise PreconditionFailed(f"empty degree window [{k_lo}, {k_hi}]")
     by_canon = {}
     for rec in records:
         if rec.chi_m is None:
@@ -417,6 +421,9 @@ def record_to_json_dict(rec):
 
 def record_from_json_dict(d):
     try:
+        # collide sorts the exponents and its filters compare mu_P with 0
+        if type(d["mu_P"]) is not int or set(map(type, d["exponents"])) != {int}:
+            raise TypeError("exponents and mu_P must be integers")
         se = SEReport(
             positivity=d["se"]["positivity"],
             sufficient1=d["se"]["sufficient1"],
@@ -449,7 +456,7 @@ def record_from_json_dict(d):
             moduli=moduli,
             sh0_rank=d["sh0_rank"],
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed record object: {exc}") from None
 
 
@@ -514,8 +521,11 @@ def _check_csv_row(row, rec):
     for name, stored, computed in zip(CSV_HEADER.split(";"), row, fresh):
         if name == "chi_m" and stored and computed:
             # accept either fraction spelling (e.g. "46/20" vs "23/10")
-            if Fraction(stored) == Fraction(computed):
-                continue
+            try:
+                if Fraction(stored) == Fraction(computed):
+                    continue
+            except (ValueError, ZeroDivisionError):
+                pass  # not a fraction: reported as a disagreement below
         if stored != computed:
             raise SchemaError(
                 f"column {name!r} of {row[0]!r}: stored {stored!r} "
@@ -582,47 +592,61 @@ def import_records(path, fmt=None):
 CACHE_ENV = "BRIESKORN_CACHE_DIR"
 
 
-def _cache_path(canonical):
+def _cache_path(canonical, sig7, sh0):
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
-    name = "-".join(str(a) for a in canonical) + ".json"
-    return os.path.join(root, f"v{__version__}", name)
+    name = "-".join(str(a) for a in canonical) + "+sig7" * sig7 + "+sh0" * sh0
+    return os.path.join(root, f"v{__version__}", name + ".json")
 
 
-def _agrees_with_profile(rec, link):
-    """Whether a cached record's profile fields and chi_m are the link's:
-    the exponents, dim, degree, weights, recip_sum, mu_P, the principal
-    stratum's middle rank and mean_euler, all read off one strata walk."""
+def _agrees_with_profile(rec, link, sig7, sh0):
+    """Whether a cached record is what :func:`build_record` gives the link
+    with these extras: the profile fields and chi_m, read off one strata
+    walk, the extras present, and a signature that fits Brieskorn's count.
+    With mu = prod(a_j - 1) and kappa the eigenvalue-one points, that is
+    |sig7| <= mu - kappa, sig7 = mu - kappa (mod 2), and 8 | sig7 on a
+    homotopy sphere."""
     mu_p = principal_index(link)
-    return (
+    kappa = link.strata[-1].middle_rank
+    free = math.prod(a - 1 for a in link.exponents) - kappa
+    s = rec.sig7
+    sig7_fits = s is None or (
+        type(s) is int and abs(s) <= free and (free - s) % 2 == 0
+        and (s % 8 == 0 or not is_homotopy_sphere(link))
+    )
+    return sig7_fits and (
         rec.exponents, rec.dim, rec.degree, rec.weights, rec.recip_sum,
-        rec.mu_P, rec.middle_rank, rec.chi_m,
+        rec.mu_P, rec.middle_rank, rec.chi_m, s is not None,
+        rec.sh0_rank is not None,
     ) == (
         link.exponents, link.link_dim, link.degree, link.weights,
-        link.recip_sum, mu_p, link.strata[-1].middle_rank,
-        mean_euler(link).value if mu_p != 0 else None,
+        link.recip_sum, mu_p, kappa,
+        mean_euler(link).value if mu_p != 0 else None, sig7,
+        sh0 and mu_p != 0,
     )
 
 
 def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
-    """build_record with a file cache keyed by canonical vector + version.
+    """build_record with one cache file per canonical vector, extras and
+    package version: ``v<version>/<canonical>[+sig7][+sh0].json``.
 
     Controlled by the BRIESKORN_CACHE_DIR environment variable; when unset,
-    this is exactly :func:`build_record`.  Cache files store the canonical
-    record and are enriched in place when a later call asks for an optional
-    field (sig7, sh0_rank) the cached copy lacks, yet a call returns what
+    this is exactly :func:`build_record`.  +sig7 means ``sig7_budget`` was
+    given for five exponents, +sh0 means ``with_sh0``, and the file holds
+    the canonical record with exactly those extras, so a call returns what
     :func:`build_record` would, budget check included.  A hit is re-checked
-    against the link's profile, strata and mean_euler
-    (:func:`_agrees_with_profile`); a file that disagrees counts as a miss
-    and is rebuilt and rewritten.  Writes are atomic (temp file + rename),
-    so concurrent readers never see a torn file.
+    by :func:`_agrees_with_profile`; a file that is malformed or disagrees
+    is a miss, rebuilt and rewritten atomically (temp file + rename).
     """
     link = make_link(exponents)
     canon = link.canonical
-    path = _cache_path(canon)
+    sig7 = sig7_budget is not None and len(canon) == 5
+    path = _cache_path(canon, sig7, with_sh0)
     if path is None:
         return build_record(link, sig7_budget=sig7_budget, with_sh0=with_sh0)
+    if sig7:
+        _check_box(canon, sig7_budget)  # a hit is held to the budget too
     # w_j = d / a_j, so the sorted exponents take the weights descending
     w = tuple(sorted(link.weights, reverse=True))
     canon_link = replace(link, exponents=canon, weights=w)
@@ -631,23 +655,8 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
             rec = record_from_json_dict(json.load(fh))
     except (OSError, SchemaError, json.JSONDecodeError):
         rec = None
-    if rec is not None and not _agrees_with_profile(rec, canon_link):
-        rec = None
-    dirty = False
-    if rec is None:
+    if rec is None or not _agrees_with_profile(rec, canon_link, sig7, with_sh0):
         rec = build_record(canon_link, sig7_budget=sig7_budget, with_sh0=with_sh0)
-        dirty = True
-    else:
-        if sig7_budget is not None and len(canon) == 5:
-            _check_box(canon, sig7_budget)  # a cached sig7 too
-            if rec.sig7 is None:
-                sig7 = milnor_signature_dim7(canon, budget=sig7_budget)
-                rec = replace(rec, sig7=sig7)
-                dirty = True
-        if with_sh0 and rec.sh0_rank is None and rec.mu_P != 0:
-            rec = replace(rec, sh0_rank=sh_plus_ranks(link, 0, 0).ranks[0])
-            dirty = True
-    if dirty:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
@@ -658,9 +667,6 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    sig7 = rec.sig7 if sig7_budget is not None else None
-    sh0 = rec.sh0_rank if with_sh0 else None
-    if (rec.exponents, rec.sig7, rec.sh0_rank) != (link.exponents, sig7, sh0):
-        rec = replace(rec, exponents=link.exponents, weights=link.weights,
-                      sig7=sig7, sh0_rank=sh0)  # a hit's common case skips this
+    if rec.exponents != link.exponents:
+        rec = replace(rec, exponents=link.exponents, weights=link.weights)
     return rec

@@ -205,6 +205,71 @@ def test_analyze_rechecks_a_tampered_cache_file(tmp_path, capsys,
     assert json.loads(path.read_text())["chi_m"] == "77/10"
 
 
+@pytest.mark.parametrize("chi_m", ["1/0", "abc"])
+def test_analyze_rebuilds_a_cache_file_with_a_malformed_fraction(
+        tmp_path, capsys, monkeypatch, chi_m):
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    code, out, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
+    [path] = (tmp_path / "cache").rglob("2-3-7-22.json")
+    stored = json.loads(path.read_text())
+    path.write_text(json.dumps({**stored, "chi_m": chi_m}))
+    assert run_cli(capsys, "analyze", "2,3,7,22", "--json")[:2] == (0, out)
+    assert json.loads(path.read_text()) == stored
+
+
+@pytest.mark.parametrize("fmt, chi_m", [
+    ("jsonl", "1/0"), ("csv", "abc"), ("csv", "1/0"),
+])
+def test_collide_rejects_a_malformed_fraction(tmp_path, capsys, fmt, chi_m):
+    from brieskorn import export_records
+
+    path = tmp_path / f"in.{fmt}"
+    export_records([build_record((2, 3, 7, 22))], path)
+    path.write_text(path.read_text().replace("77/10", chi_m))
+    code, out, err = run_cli(capsys, "collide", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert "brieskorn: error:" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu_P", "77"), ("mu_P", 77.0), ("exponents", [2, "3", 7, 22]),
+])
+def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
+                                                   value):
+    from brieskorn.tables import record_to_json_dict
+
+    d = {**record_to_json_dict(build_record((2, 3, 7, 22))), field: value}
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(d) + "\n")
+    code, out, _ = run_cli(capsys, "collide", "--in", str(path),
+                           "--filter", "positive")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_collide_filters_imported_records(tmp_path, capsys, fmt):
+    from brieskorn import enumerate_links, export_records
+
+    path = tmp_path / f"c10.{fmt}"
+    export_records(enumerate_links(5, 10), path)
+    census = ("--dim", "5", "--max-exponent", "10")
+    for name in ["homotopy_sphere", "positive"]:
+        code, out, _ = run_cli(capsys, "collide", *census, "--filter", name)
+        assert code == 0
+        assert run_cli(capsys, "collide", "--in", str(path),
+                       "--filter", name)[:2] == (0, out)
+        if name == "homotopy_sphere":
+            assert sum(line.startswith("chi_m = ")
+                       for line in out.splitlines()) == 11
+
+
+def test_collide_refuses_an_empty_window(capsys):
+    for bound in ("3", "4"):
+        code, out, _ = run_cli(capsys, "collide", "--dim", "5",
+                               "--max-exponent", bound, "--window", "3", "1")
+        assert (code, out) == (2, "")
+
+
 def test_collide_from_file(tmp_path, capsys):
     from brieskorn import export_records
 
@@ -292,6 +357,10 @@ def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["collide"])  # needs --in or --dim/--max-exponent
     assert exc.value.code == 1
+    for census in (["--dim", "5"], ["--max-exponent", "6"]):
+        with pytest.raises(SystemExit) as exc:  # --in and a census
+            main(["collide", "--in", "records.jsonl", *census])
+        assert exc.value.code == 1
 
 
 def test_stdout_is_deterministic(capsys):

@@ -17,7 +17,9 @@ from brieskorn import (
     count_weighted_monomials,
     lichnerowicz_obstructed,
     make_link,
+    mean_euler,
     moduli_dimension,
+    principal_index,
     se_coprime_iff,
     se_status,
     se_sufficient,
@@ -200,16 +202,22 @@ def test_moduli_report():
 
 
 def test_sylvester_numerator_values():
-    # n = 1 admissible tails: odd, coprime to 3, below 2(c_2 - 1) = 12
+    # n = 1 admissible tails: odd and coprime to 3; P = (c_2 - 1)/2 = 3
     vals = {a: sylvester_numerator(1, a) for a in (5, 7, 11)}
-    assert vals == {5: 52, 7: 76, 11: 124}
-    # affine in a: 12(a-1) + 4
-    assert all(v == 12 * (a - 1) + 4 for a, v in vals.items())
+    assert vals == {5: 43, 7: 59, 11: 91}
+    # affine in a: (3P - 1)a + P, the machinery's chi_m * |mu_P|
+    for a, v in vals.items():
+        link = make_link((2, 4, 6, a))
+        assert v == 8 * a + 3 == mean_euler(link).value * abs(principal_index(link))
+    # n = 2: the sign (-1)^(n+1) and P = 21
+    assert sylvester_numerator(2, 5) == -(62 * 5 + 21)
 
 
 def test_sylvester_numerator_validates():
-    with pytest.raises(PreconditionFailed):
-        sylvester_numerator(1, 13)  # past the positivity cap
+    # a = 13 gives mu_P = 2(12 - 13) < 0, and the identity still holds
+    link = make_link((2, 4, 6, 13))
+    assert principal_index(link) == -2
+    assert sylvester_numerator(1, 13) == 107 == mean_euler(link).value * 2
     with pytest.raises(PreconditionFailed):
         sylvester_numerator(1, 6)  # shares a factor with the sequence
     with pytest.raises(PreconditionFailed):

@@ -194,6 +194,11 @@ def test_collision_scan_distinguishes_known_pair():
     )
 
 
+def test_collision_scan_refuses_an_empty_window():
+    with pytest.raises(PreconditionFailed):
+        find_mec_collisions([], window=(3, 1))
+
+
 def test_collision_scan_dedups_by_canonical_vector():
     records = [build_record((2, 3, 7, 22)), build_record((22, 7, 3, 2)),
                build_record((3, 3, 4, 7))]
@@ -267,6 +272,22 @@ def test_jsonl_round_trip_carries_everything(tmp_path, sample_records):
     assert back[-1].sig7 == 8
 
 
+@pytest.mark.parametrize("chi_m", ["1/0", "abc"])
+def test_malformed_fractions_are_schema_errors(tmp_path, chi_m):
+    rec = build_record((2, 3, 7, 22))
+    d = {**tables.record_to_json_dict(rec), "chi_m": chi_m}
+    (tmp_path / "bad.jsonl").write_text(json.dumps(d) + "\n")
+    with pytest.raises(SchemaError):
+        import_records(tmp_path / "bad.jsonl")
+    export_records([rec], tmp_path / "good.csv")
+    head, row = (tmp_path / "good.csv").read_text().splitlines()
+    cells = row.split(";")
+    cells[4] = chi_m
+    (tmp_path / "bad.csv").write_text(f"{head}\n{';'.join(cells)}\n")
+    with pytest.raises(SchemaError):
+        import_records(tmp_path / "bad.csv")
+
+
 def test_jsonl_rejects_malformed_lines(tmp_path):
     (tmp_path / "bad.jsonl").write_text('{"exponents": [2,3,4\n')
     with pytest.raises(SchemaError):
@@ -314,12 +335,86 @@ def test_cached_record_round_trip(tmp_path, monkeypatch):
     with open(files[0]) as fh:
         stored = json.load(fh)
     assert stored["exponents"] == [2, 3, 4, 16]
-    # a later request enriches the same file instead of recomputing from zero
+    # a call with an extra gets a file of its own; the plain file is kept
     second = cached_record((2, 3, 4, 16), with_sh0=True)
-    assert second.sh0_rank is not None
+    assert second.sh0_rank == 0
     with open(files[0]) as fh:
-        stored = json.load(fh)
-    assert stored["sh0_rank"] == second.sh0_rank
+        assert json.load(fh) == stored
+    with open(files[0].replace(".json", "+sh0.json")) as fh:
+        assert json.load(fh)["sh0_rank"] == second.sh0_rank
+
+
+def _cache_files(root):
+    return sorted(
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, names in os.walk(root)
+        for name in names
+    )
+
+
+def test_cached_record_one_file_per_call(tmp_path, monkeypatch):
+    # each file holds exactly the canonical record its call builds, whatever
+    # the order the calls come in
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    calls = [
+        ({"sig7_budget": 10**6, "with_sh0": True}, "+sig7+sh0"),
+        ({"with_sh0": True}, "+sh0"),
+        ({}, ""),
+        ({"sig7_budget": 10**6}, "+sig7"),
+    ]
+    for kwargs, _ in calls:
+        assert cached_record((5, 2, 2, 3, 2), **kwargs) == build_record(
+            (5, 2, 2, 3, 2), **kwargs
+        )
+    version = f"v{tables.__version__}"
+    assert _cache_files(tmp_path / "cache") == sorted(
+        os.path.join(version, f"2-2-2-3-5{suffix}.json") for _, suffix in calls
+    )
+    for kwargs, suffix in calls:
+        path = tmp_path / "cache" / version / f"2-2-2-3-5{suffix}.json"
+        stored = json.loads(path.read_text())
+        assert stored == tables.record_to_json_dict(
+            build_record((2, 2, 2, 3, 5), **kwargs)
+        )
+    # sig7_budget names no file of its own below five exponents
+    cached_record((2, 3, 4, 16), sig7_budget=10**6)
+    assert os.path.join(version, "2-3-4-16.json") in _cache_files(
+        tmp_path / "cache"
+    )
+
+
+def test_cached_record_ignores_extras_it_did_not_ask_for(tmp_path,
+                                                         monkeypatch):
+    # a record carrying sig7 and sh0_rank at the plain name, as an older
+    # merging cache left it, is a miss for a plain call and is rewritten
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    v = (2, 2, 2, 3, 5)
+    plain = cached_record(v)
+    [path] = (tmp_path / "cache").rglob("2-2-2-3-5.json")
+    full = build_record(v, sig7_budget=10**6, with_sh0=True)
+    path.write_text(json.dumps(tables.record_to_json_dict(full)))
+    assert cached_record(v) == plain == build_record(v)
+    assert json.loads(path.read_text()) == tables.record_to_json_dict(plain)
+
+
+@pytest.mark.parametrize("v, sig7", [
+    ((2, 2, 2, 3, 5), 9),      # each true sig7 + 1 fails the parity
+    ((2, 3, 5, 7, 11), 209),   # mu - kappa = 480
+    ((2, 3, 5, 7, 11), 210),   # 8 | sig7 on a homotopy sphere
+    ((2, 3, 5, 7, 11), 488),   # |sig7| <= mu - kappa
+    ((2, 3, 5, 7, 11), -488),
+    ((3, 3, 3, 3, 3), 19),     # not a sphere: mu - kappa = 32 - 10 = 22
+    ((3, 3, 3, 3, 3), 24),
+    ((3, 3, 3, 3, 3), "18"),
+])
+def test_cached_record_rechecks_the_signature(tmp_path, monkeypatch, v, sig7):
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    rec = cached_record(v, sig7_budget=10**6)
+    [path] = (tmp_path / "cache").rglob("*+sig7.json")
+    stored = json.loads(path.read_text())
+    path.write_text(json.dumps({**stored, "sig7": sig7}))
+    assert cached_record(v, sig7_budget=10**6) == rec
+    assert json.loads(path.read_text()) == stored
 
 
 def test_cached_record_makes_one_link_per_call(tmp_path, monkeypatch):
