@@ -37,13 +37,13 @@ from .tables import (
     FILTER_NAMES,
     _csv_writer,
     _filter_records,
+    _iter_imported,
+    _iter_records,
     _write_records,
     cached_record,
-    enumerate_links,
     export_records,
     family_sweep,
     find_mec_collisions,
-    import_records,
     parse_sweep_spec,
     record_to_csv_row,
     record_to_json_dict,
@@ -248,10 +248,10 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_enumerate(args, out):
-    records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
+    records = _iter_records(args.dim, args.max_exponent, args.filter)
     if args.out:
-        export_records(records, args.out, fmt=args.format)
-        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+        count = export_records(records, args.out, fmt=args.format)
+        print(f"wrote {count} records to {args.out}", file=sys.stderr)
     else:
         _write_records(records, out, args.format or "csv")
     return 0
@@ -259,9 +259,10 @@ def _cmd_enumerate(args, out):
 
 def _cmd_collide(args, out):
     if args.infile:
-        records = _filter_records(import_records(args.infile, args.format), args.filter)
+        records = _iter_imported(args.infile, args.format)
     else:
-        records = enumerate_links(args.dim, args.max_exponent, filters=args.filter)
+        records = _iter_records(args.dim, args.max_exponent)
+    records = _filter_records(records, args.filter)
     k_lo, k_hi = args.window
     groups = find_mec_collisions(records, window=(k_lo, k_hi))
     if args.json:

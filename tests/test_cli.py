@@ -1,10 +1,13 @@
 """Command-line behavior: output pins, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -158,6 +161,88 @@ def test_enumerate_out_file(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--dim", "4", "--max-exponent", "5"),
+    ("--dim", "5", "--max-exponent", "1"),
+])
+def test_enumerate_checks_its_arguments_before_any_output(tmp_path, capsys,
+                                                          argv):
+    path = tmp_path / "census.csv"
+    assert run_cli(capsys, "enumerate", *argv, "--out", str(path))[:2] == (2, "")
+    assert run_cli(capsys, "enumerate", *argv)[:2] == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enumerate_that_fails_partway(tmp_path, capsys, monkeypatch):
+    # records are written in batches of 32 as they are built: stdout keeps
+    # all 39 rows built before the failure, while --out replaces its file
+    # only once the census is done
+    from brieskorn import BudgetExceeded, enumerate_links, tables
+
+    built = enumerate_links(5, 6)[:39]
+
+    def build_or_fail(v):
+        if v == (3, 3, 4, 4):  # the 40th vector
+            raise BudgetExceeded(f"no budget for {v}")
+        return build_record(v)
+
+    monkeypatch.setattr(tables, "build_record", build_or_fail)
+    census = ("enumerate", "--dim", "5", "--max-exponent", "6")
+    code, out, err = run_cli(capsys, *census, "--format", "jsonl")
+    assert code == 3 and "budget exceeded" in err
+    assert [json.loads(line)["exponents"] for line in out.splitlines()] == [
+        list(rec.exponents) for rec in built
+    ]
+    path = tmp_path / "census.jsonl"
+    path.write_text("an earlier census\n")
+    assert run_cli(capsys, *census, "--out", str(path))[:2] == (3, "")
+    assert path.read_text() == "an earlier census\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_enumerate_out_file_has_the_mode_open_gives(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+    path = tmp_path / "census.csv"
+    run_cli(capsys, "enumerate", "--dim", "5", "--max-exponent", "3",
+            "--out", str(path))
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
+def _held_bytes(argv):
+    """The most memory traced while ``main(argv)`` ran, above what is still
+    allocated when it returns, so the interpreter's free lists, which keep
+    what a run freed and grow with the objects it churned, do not count."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_enumerate_memory_does_not_grow_with_the_census(tmp_path):
+    # 210 and 1001 records; a census held whole until written read ~180
+    # and ~780 KB here
+    def held(bound):
+        return _held_bytes(["enumerate", "--dim", "5", "--max-exponent",
+                            str(bound), "--out", str(tmp_path / "c.jsonl")])
+
+    assert held(12) < held(8) + 64 * 1024
+
+
+def test_collide_memory_per_record(tmp_path):
+    # collide keeps one (canonical, chi_m) pair per record: ~200 bytes each
+    # on these 1001 records, against ~900 when it kept every record whole
+    path = tmp_path / "c12.jsonl"
+    assert main(["enumerate", "--dim", "5", "--max-exponent", "12",
+                 "--out", str(path)]) == 0
+    assert _held_bytes(["collide", "--in", str(path)]) < 300 * 1001
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_enumerate_stdout_equals_export_file(tmp_path, capsys, fmt):
     # stdout and export_records share one record writer
@@ -233,6 +318,8 @@ def test_collide_rejects_a_malformed_fraction(tmp_path, capsys, fmt, chi_m):
 
 @pytest.mark.parametrize("field, value", [
     ("mu_P", "77"), ("mu_P", 77.0), ("exponents", [2, "3", 7, 22]),
+    ("sig7", "8"), ("degree", 30.5), ("homotopy_sphere", "no"),
+    ("middle_rank", True),
 ])
 def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
                                                    value):

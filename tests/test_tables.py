@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -195,8 +197,12 @@ def test_collision_scan_distinguishes_known_pair():
 
 
 def test_collision_scan_refuses_an_empty_window():
+    def unread():
+        raise AssertionError("records read before the window was checked")
+        yield
+
     with pytest.raises(PreconditionFailed):
-        find_mec_collisions([], window=(3, 1))
+        find_mec_collisions(unread(), window=(3, 1))
 
 
 def test_collision_scan_dedups_by_canonical_vector():
@@ -288,6 +294,23 @@ def test_malformed_fractions_are_schema_errors(tmp_path, chi_m):
         import_records(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("part, field, value", [
+    ("", "sig7", "8"), ("", "degree", 30.5), ("", "homotopy_sphere", "no"),
+    ("", "dim", True), ("", "weights", [30, 30, 30, 20, 12.0]),
+    ("", "chi_m", 5), ("se", "positivity", 1), ("moduli", "kuranishi_dim", None),
+])
+def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
+    rec = build_record((2, 2, 2, 3, 5), sig7_budget=10**6)
+    d = tables.record_to_json_dict(rec)
+    assert d["sig7"] == 8
+    (d[part] if part else d)[field] = value
+    with pytest.raises(SchemaError):
+        tables.record_from_json_dict(d)
+    (tmp_path / "bad.jsonl").write_text(json.dumps(d) + "\n")
+    with pytest.raises(SchemaError):
+        import_records(tmp_path / "bad.jsonl")
+
+
 def test_jsonl_rejects_malformed_lines(tmp_path):
     (tmp_path / "bad.jsonl").write_text('{"exponents": [2,3,4\n')
     with pytest.raises(SchemaError):
@@ -306,6 +329,43 @@ def test_empty_exports(tmp_path):
     export_records([], jpath)
     assert jpath.read_text() == ""
     assert import_records(jpath) == []
+
+
+def test_export_streams_and_replaces_the_file_whole(tmp_path, sample_records):
+    path = tmp_path / "records.jsonl"
+    assert export_records(iter(sample_records), path) == len(sample_records)
+    assert import_records(path) == sample_records
+    before = path.read_bytes()
+
+    def fails_partway():
+        yield sample_records[0]
+        raise BudgetExceeded("over budget")
+
+    with pytest.raises(BudgetExceeded):
+        export_records(fails_partway(), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_export_follows_a_symlink_and_writes_through_a_pipe(tmp_path,
+                                                            sample_records):
+    target = tmp_path / "records.jsonl"
+    target.write_text("")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    export_records(sample_records, link)
+    assert link.is_symlink() and import_records(target) == sample_records
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    export_records(sample_records, pipe, "jsonl")
+    reader.join(timeout=30)
+    assert not reader.is_alive() and stat.S_ISFIFO(pipe.stat().st_mode)
+    assert read == [target.read_bytes()]
 
 
 def test_format_inference(tmp_path, sample_records):
