@@ -198,23 +198,13 @@ def _cmd_sh_ranks(args, out):
 
 def _cmd_se_check(args, out):
     link = make_link(parse_exponents(args.exponents))
-    report = se_status(link)
+    d = record_to_json_dict(se_status(link))
     if args.json:
-        d = {"exponents": list(link.exponents)}
-        d.update(report.to_json_dict())
+        d = {"exponents": list(link.exponents), **d}
         print(json.dumps(d, indent=2), file=out)
         return 0
-    print(f"{_label(link.exponents)}: {report.verdict.value}", file=out)
-    _print_kv(
-        [
-            ("positivity", _fmt_bool(report.positivity)),
-            ("sufficient1", _fmt_bool(report.sufficient1)),
-            ("sufficient2", _fmt_bool(report.sufficient2)),
-            ("coprime_iff", report.coprime_iff.value),
-            ("lichnerowicz_obstructed", _fmt_bool(report.lichnerowicz_obstructed)),
-        ],
-        out,
-    )
+    print(f"{_label(link.exponents)}: {d.pop('verdict')}", file=out)
+    _print_kv([(k, _fmt_bool(v) if type(v) is bool else v) for k, v in d.items()], out)
     return 0
 
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
+    BudgetExceeded,
     DimensionTooLow,
     InternalInconsistency,
     PreconditionFailed,
@@ -173,16 +174,6 @@ class SEReport:
     lichnerowicz_obstructed: bool
     verdict: SEVerdict
 
-    def to_json_dict(self):
-        return {
-            "positivity": self.positivity,
-            "sufficient1": self.sufficient1,
-            "sufficient2": self.sufficient2,
-            "coprime_iff": self.coprime_iff.value,
-            "lichnerowicz_obstructed": self.lichnerowicz_obstructed,
-            "verdict": self.verdict.value,
-        }
-
 
 def se_status(link):
     """Combine all criteria into one :class:`SEReport`.
@@ -222,10 +213,19 @@ def se_status(link):
     )
 
 
+# Most cells, len(weights) * (degree + 1), of count_weighted_monomials's
+# table.  Under a 1 GiB address-space cap at this bound, (1, 1) with degree
+# 2^24 - 1 peaks at 0.64 GiB in 5.2 s (per cell, two weights hold the most;
+# one, three and eight 1s peak at 0.52, 0.60 and 0.24 GiB), and (1, 1) with
+# degree 2^25 fails with MemoryError.
+_MAX_DP_CELLS = 1 << 25
+
+
 def count_weighted_monomials(weights, degree):
     """Number of monomials of weighted degree ``degree``: the coefficient
     count #{ b : sum b_j w_j = degree } = h^0 of O(degree) on the weighted
-    projective space CP(w).
+    projective space CP(w).  A table of more than 2^25 cells,
+    len(weights) * (degree + 1), raises BudgetExceeded before it is built.
 
     >>> count_weighted_monomials((33, 22, 6, 6), 66)
     14
@@ -240,6 +240,8 @@ def count_weighted_monomials(weights, degree):
             raise PreconditionFailed(f"weight {w!r} must be an integer >= 1")
     if degree < 0:
         raise PreconditionFailed(f"degree must be >= 0, got {degree}")
+    if len(weights) * (degree + 1) > _MAX_DP_CELLS:
+        raise BudgetExceeded(f"monomial-count table over {_MAX_DP_CELLS} cells")
     table = [1] + [0] * degree  # table[m] = #{ b : sum b_j w_j = m }
     for w in weights:
         for amount in range(w, degree + 1):
@@ -296,15 +298,6 @@ class ModuliReport:
     h0_weight_sum: int
     kuranishi_dim: int
     perturbation_count: int
-
-    def to_json_dict(self):
-        return {
-            "applicable": self.applicable,
-            "h0_degree": self.h0_degree,
-            "h0_weight_sum": self.h0_weight_sum,
-            "kuranishi_dim": self.kuranishi_dim,
-            "perturbation_count": self.perturbation_count,
-        }
 
 
 def moduli_dimension(link):

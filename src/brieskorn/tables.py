@@ -15,19 +15,22 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
+from operator import attrgetter
+from typing import get_args, get_type_hints
 
 from . import __version__
 from .errors import (
     DimensionTooLow,
+    InvalidExponent,
     InvalidInstance,
     PreconditionFailed,
     SchemaError,
 )
 from .einstein import (
-    CoprimeVerdict,
     ModuliReport,
     SEReport,
     SEVerdict,
@@ -44,7 +47,7 @@ from .homology import (
     milnor_signature_dim7,
 )
 from .invariants import mean_euler, principal_index, sh_plus_ranks
-from .linkmodel import _as_link, canonical_exponents, make_link
+from .linkmodel import _as_link, canonical_exponents, make_link, parse_exponents
 
 __all__ = [
     "LinkRecord",
@@ -357,158 +360,117 @@ def find_mec_collisions(records, window=(0, 0)):
 # ---------------------------------------------------------------------------
 # serialization
 
-CSV_HEADER = (
-    "exponents;dim;degree;mu_P;chi_m;middle_rank;homotopy_sphere;"
-    "dim5_type;se_verdict;kuranishi_dim;perturbation_count;sh0_rank"
+# (header, attribute of the record) per CSV column, in file order
+_CSV_COLUMNS = (
+    ("exponents", "exponents"), ("dim", "dim"), ("degree", "degree"),
+    ("mu_P", "mu_P"), ("chi_m", "chi_m"), ("middle_rank", "middle_rank"),
+    ("homotopy_sphere", "homotopy_sphere"), ("dim5_type", "dim5_type"),
+    ("se_verdict", "se.verdict.value"),
+    ("kuranishi_dim", "moduli.kuranishi_dim"),
+    ("perturbation_count", "moduli.perturbation_count"),
+    ("sh0_rank", "sh0_rank"),
 )
+CSV_HEADER = ";".join(name for name, _ in _CSV_COLUMNS)
+_csv_values = attrgetter(*(attr for _, attr in _CSV_COLUMNS))
 
 
-def _bool_cell(b):
-    if b is None:
+def _cell(value):
+    """A CSV cell: empty for None, true/false for a bool, the entries
+    joined by commas for a tuple, else str()."""
+    if value is None:
         return ""
-    return "true" if b else "false"
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is tuple:
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def record_to_csv_row(rec):
-    return [
-        ",".join(str(a) for a in rec.exponents),
-        str(rec.dim),
-        str(rec.degree),
-        str(rec.mu_P),
-        str(rec.chi_m) if rec.chi_m is not None else "",
-        str(rec.middle_rank),
-        _bool_cell(rec.homotopy_sphere),
-        str(rec.dim5_type) if rec.dim5_type is not None else "",
-        rec.se.verdict.value,
-        str(rec.moduli.kuranishi_dim),
-        str(rec.moduli.perturbation_count),
-        str(rec.sh0_rank) if rec.sh0_rank is not None else "",
-    ]
+    return [_cell(v) for v in _csv_values(rec)]
 
 
-def _dim5_to_dict(t):
-    if t is None:
-        return None
-    return {
-        "kind": t.kind.value,
-        "middle_rank": t.middle_rank,
-        "count": t.count,
-        "name": t.name,
-    }
+def _int_tuple(items):
+    if any(type(a) is not int for a in items):
+        raise ValueError(items)
+    return tuple(items)
 
 
-def _dim5_from_dict(d):
-    if d is None:
-        return None
-    return Dim5Type(
-        kind=Dim5Kind(d["kind"]),
-        middle_rank=d["middle_rank"],
-        count=d["count"],
-        name=d["name"],
-    )
+def _field_codec(tp, where):
+    """(JSON types, encode, decode) of a field annotated ``tp``: a Fraction
+    is a string, an Enum its value, a tuple a list of ints, a dataclass an
+    object (its fields named ``where.field`` in errors), and ``X | None``
+    may also be null.  encode and decode are None for a value JSON holds."""
+    args = get_args(tp)
+    if type(None) in args:
+        (tp,) = (a for a in args if a is not type(None))
+        types, encode, decode = _field_codec(tp, where)
+        return (*types, type(None)), encode, decode
+    if is_dataclass(tp):
+        return (dict,), *_codec(tp, where + ".")
+    if tp is Fraction:
+        return (str,), str, Fraction
+    if issubclass(tp, Enum):
+        return (str,), attrgetter("value"), tp
+    if tp is tuple:
+        return (list,), list, _int_tuple
+    return (tp,), None, None
 
 
-def record_to_json_dict(rec):
-    return {
-        "exponents": list(rec.exponents),
-        "dim": rec.dim,
-        "degree": rec.degree,
-        "weights": list(rec.weights),
-        "recip_sum": str(rec.recip_sum),
-        "mu_P": rec.mu_P,
-        "chi_m": str(rec.chi_m) if rec.chi_m is not None else None,
-        "middle_rank": rec.middle_rank,
-        "homotopy_sphere": rec.homotopy_sphere,
-        "rhs": rec.rhs,
-        "dim5_type": _dim5_to_dict(rec.dim5_type),
-        "sig7": rec.sig7,
-        "se": rec.se.to_json_dict(),
-        "moduli": rec.moduli.to_json_dict(),
-        "sh0_rank": rec.sh0_rank,
-    }
+_SCHEMA = {}  # dataclass -> (encode, decode, {field: JSON types})
 
 
-_NULL = type(None)
-# The JSON types record_to_json_dict writes, per object ("" is the record,
-# the rest its nested objects); matched with type(), so a bool is no int.
-_JSON_TYPES = {
-    "": {
-        "exponents": (list,), "dim": (int,), "degree": (int,),
-        "weights": (list,), "recip_sum": (str,), "mu_P": (int,),
-        "chi_m": (str, _NULL), "middle_rank": (int,),
-        "homotopy_sphere": (bool, _NULL), "rhs": (bool, _NULL),
-        "dim5_type": (dict, _NULL), "sig7": (int, _NULL), "se": (dict,),
-        "moduli": (dict,), "sh0_rank": (int, _NULL),
-    },
-    "dim5_type": {
-        "kind": (str,), "middle_rank": (int,), "count": (int, _NULL),
-        "name": (str, _NULL),
-    },
-    "se": {
-        "positivity": (bool,), "sufficient1": (bool,), "sufficient2": (bool,),
-        "coprime_iff": (str,), "lichnerowicz_obstructed": (bool,),
-        "verdict": (str,),
-    },
-    "moduli": {
-        "applicable": (bool,), "h0_degree": (int,), "h0_weight_sum": (int,),
-        "kuranishi_dim": (int,), "perturbation_count": (int,),
-    },
-}
+def _codec(cls, prefix=""):
+    """The JSON writer and reader of the dataclass ``cls``, derived from
+    its fields, in order, and their annotations (see :func:`_field_codec`).
+    Types match by type(), so a bool is no int; the reader ignores other
+    keys and names a bad field by its dotted path.  Each nested dataclass
+    sits at one path, so one codec per class serves."""
+    hints = get_type_hints(cls)
+    spec = [(f.name, *_field_codec(hints[f.name], prefix + f.name))
+            for f in fields(cls)]
+    converted = [(name, enc) for name, _, enc, _ in spec if enc is not None]
+
+    def encode(obj):
+        d = vars(obj).copy()  # the fields, in order: __init__ sets just them
+        for name, enc in converted:
+            if d[name] is not None:
+                d[name] = enc(d[name])
+        return d
+
+    def decode(d):
+        kwargs = {}
+        for name, types, _, dec in spec:
+            try:
+                v = d[name]
+                if type(v) not in types:
+                    raise ValueError(v)
+                kwargs[name] = v if dec is None or v is None else dec(v)
+            except KeyError:
+                raise SchemaError(f"missing field '{prefix}{name}'") from None
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"{prefix}{name} cannot be {v!r}") from None
+        return cls(**kwargs)
+
+    _SCHEMA[cls] = encode, decode, {name: types for name, types, *_ in spec}
+    return encode, decode
 
 
-def _check_json_types(d):
-    """Raise TypeError unless every field of the record object ``d`` has
-    the JSON type that :func:`record_to_json_dict` writes for it."""
-    for part, fields in _JSON_TYPES.items():
-        obj = d[part] if part else d
-        if obj is None:  # a null dim5_type
-            continue
-        for name, types in fields.items():
-            if type(obj[name]) not in types:
-                where = f"{part}.{name}" if part else name
-                raise TypeError(f"{where} cannot be {obj[name]!r}")
-    for name in ("exponents", "weights"):
-        if any(type(a) is not int for a in d[name]):
-            raise TypeError(f"{name} must be integers")
+_codec(LinkRecord)
+
+
+def record_to_json_dict(obj):
+    """The JSON object of a :class:`LinkRecord`, or of an object it nests
+    (SEReport, ModuliReport, Dim5Type): the dataclass fields, in order."""
+    return _SCHEMA[type(obj)][0](obj)
 
 
 def record_from_json_dict(d):
-    try:
-        _check_json_types(d)
-        se = SEReport(
-            positivity=d["se"]["positivity"],
-            sufficient1=d["se"]["sufficient1"],
-            sufficient2=d["se"]["sufficient2"],
-            coprime_iff=CoprimeVerdict(d["se"]["coprime_iff"]),
-            lichnerowicz_obstructed=d["se"]["lichnerowicz_obstructed"],
-            verdict=SEVerdict(d["se"]["verdict"]),
-        )
-        moduli = ModuliReport(
-            applicable=d["moduli"]["applicable"],
-            h0_degree=d["moduli"]["h0_degree"],
-            h0_weight_sum=d["moduli"]["h0_weight_sum"],
-            kuranishi_dim=d["moduli"]["kuranishi_dim"],
-            perturbation_count=d["moduli"]["perturbation_count"],
-        )
-        return LinkRecord(
-            exponents=tuple(d["exponents"]),
-            dim=d["dim"],
-            degree=d["degree"],
-            weights=tuple(d["weights"]),
-            recip_sum=Fraction(d["recip_sum"]),
-            mu_P=d["mu_P"],
-            chi_m=Fraction(d["chi_m"]) if d["chi_m"] is not None else None,
-            middle_rank=d["middle_rank"],
-            homotopy_sphere=d["homotopy_sphere"],
-            rhs=d["rhs"],
-            dim5_type=_dim5_from_dict(d["dim5_type"]),
-            sig7=d["sig7"],
-            se=se,
-            moduli=moduli,
-            sh0_rank=d["sh0_rank"],
-        )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(f"malformed record object: {exc}") from None
+    """The :class:`LinkRecord` of an object :func:`record_to_json_dict`
+    wrote; a field of another JSON type or value raises SchemaError."""
+    if type(d) is not dict:
+        raise SchemaError(f"a record is a JSON object, not {d!r}")
+    return _SCHEMA[LinkRecord][1](d)
 
 
 def _format_of(path, fmt):
@@ -549,12 +511,15 @@ def _replacing(path):
     beside it, renamed onto it when the block ends and removed if it
     raises.  A symlink is followed; what is there but is no regular file,
     such as a pipe or ``/dev/stdout``, is written directly."""
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(given)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             # mkstemp makes the file 0600; give it what open(path, "w") would
@@ -578,9 +543,9 @@ class _CensusCSV(csv.excel):
 
 def _csv_writer(fh, lead=()):
     """A census CSV writer on ``fh``, the header row already written: the
-    column names in ``lead``, then CSV_HEADER's."""
+    column names in ``lead``, then the record's."""
     writer = csv.writer(fh, _CensusCSV)
-    writer.writerow([*lead, *CSV_HEADER.split(";")])
+    writer.writerow([*lead, *(name for name, _ in _CSV_COLUMNS)])
     return writer
 
 
@@ -624,7 +589,7 @@ def _write_records(records, fh, fmt):
 def _check_csv_row(row, rec):
     """Cross-check a stored CSV row against the recomputed record."""
     fresh = record_to_csv_row(rec)
-    for name, stored, computed in zip(CSV_HEADER.split(";"), row, fresh):
+    for (name, _), stored, computed in zip(_CSV_COLUMNS, row, fresh):
         if name == "chi_m" and stored and computed:
             # accept either fraction spelling (e.g. "46/20" vs "23/10")
             try:
@@ -644,8 +609,9 @@ def import_records(path, fmt=None):
 
     JSON-lines files are parsed directly and round-trip every field; each
     field must have the JSON type :func:`record_to_json_dict` writes for
-    it.  CSV files store a 12-column summary, so each row is *recomputed*
-    from its exponents column and every stored cell is cross-checked
+    it, or SchemaError names the line and the field.  CSV files store a
+    12-column summary, so each row is *recomputed* from its exponents
+    column and every stored cell is cross-checked
     against the recomputed value (SchemaError on any mismatch); sh0_rank is
     recomputed exactly when the stored cell is non-empty.  CSV does not
     carry sig7.
@@ -664,7 +630,7 @@ def _iter_imported(path, fmt=None):
                 header = next(reader)
             except StopIteration:
                 raise SchemaError("empty CSV file (expected a header)") from None
-            if header != CSV_HEADER.split(";"):
+            if header != [name for name, _ in _CSV_COLUMNS]:
                 raise SchemaError(
                     f"unexpected CSV header {';'.join(header)!r}"
                 )
@@ -674,13 +640,9 @@ def _iter_imported(path, fmt=None):
                         f"row has {len(row)} cells, expected {len(header)}"
                     )
                 try:
-                    exponents = tuple(
-                        int(x) for x in row[0].split(",") if x.strip()
-                    )
-                except ValueError:
-                    raise SchemaError(
-                        f"bad exponents cell {row[0]!r}"
-                    ) from None
+                    exponents = parse_exponents(row[0])
+                except InvalidExponent:
+                    raise SchemaError(f"bad exponents cell {row[0]!r}") from None
                 rec = build_record(exponents, with_sh0=bool(row[11]))
                 _check_csv_row(row, rec)
                 yield rec
@@ -690,12 +652,14 @@ def _iter_imported(path, fmt=None):
                 if not line:
                     continue
                 try:
-                    d = json.loads(line)
+                    rec = record_from_json_dict(json.loads(line))
                 except json.JSONDecodeError as exc:
                     raise SchemaError(
                         f"line {lineno}: invalid JSON ({exc})"
                     ) from None
-                yield record_from_json_dict(d)
+                except SchemaError as exc:
+                    raise SchemaError(f"line {lineno}: {exc}") from None
+                yield rec
 
 
 # ---------------------------------------------------------------------------

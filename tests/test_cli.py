@@ -147,6 +147,22 @@ def test_collide_stdout_pin(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("se-check", "2,3,11,11", "--json"),
+     "bd8267023aab5892534667473a80f13ab5f1d3908486a44cbdc0fc73c37f4783"),
+    (("sweep", "2,3,4,4+12k", "0..5", "--json"),
+     "cb1ceadd2ed181e3542dad9e55d53cbf8ed3a5c835fb07f77887b980ded05d94"),
+    (("analyze", "2,2,2,3,5", "--sig7", "--sh0", "--json"),
+     "79fecc871cd6a65a485c34306d0bd03923696febc499e7a9c2908c433e25e80c"),
+])
+def test_json_stdout_pins(capsys, argv, sha256):
+    # the JSON objects of a report, a sweep and a dim-7 record with both
+    # extras, byte for byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_enumerate_out_file(tmp_path, capsys):
     path = tmp_path / "census.jsonl"
     code, out, _ = run_cli(
@@ -331,6 +347,44 @@ def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
     code, out, _ = run_cli(capsys, "collide", "--in", str(path),
                            "--filter", "positive")
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("part, field, value, message", [
+    (None, None, None, "line 3: missing field 'dim'"),
+    ("se", "positivity", 1, "line 3: se.positivity cannot be 1"),
+    ("moduli", "kuranishi_dim", None,
+     "line 3: missing field 'moduli.kuranishi_dim'"),
+    ("", "chi_m", "1/0", "line 3: chi_m cannot be '1/0'"),
+])
+def test_collide_names_the_line_and_field_of_a_bad_record(
+        tmp_path, capsys, part, field, value, message):
+    from brieskorn.tables import record_to_json_dict
+
+    good = [record_to_json_dict(build_record(v))
+            for v in [(2, 3, 7, 22), (3, 3, 4, 7)]]
+    if part is None:
+        bad = {"exponents": [1]}
+    else:
+        bad = record_to_json_dict(build_record((2, 3, 4, 16)))
+        obj = bad[part] if part else bad
+        if value is None:
+            del obj[field]
+        else:
+            obj[field] = value
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(json.dumps(d) + "\n" for d in [*good, bad]))
+    code, out, err = run_cli(capsys, "collide", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert f"brieskorn: error: {message}\n" in err
+
+
+def test_enumerate_out_names_the_path_given(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "census.jsonl"
+    code, out, err = run_cli(capsys, "enumerate", "--dim", "5",
+                             "--max-exponent", "3", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert f"No such file or directory: '{path}'" in err
+    assert ".tmp" not in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

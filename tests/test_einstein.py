@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections.abc import ItemsView
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from brieskorn import (
     sylvester_numerator,
 )
 from brieskorn import einstein, homology
+from brieskorn.tables import record_to_json_dict
 
 
 def test_sufficient_inequalities():
@@ -65,7 +67,7 @@ def test_verdicts():
 
 
 def test_report_json_shape():
-    d = se_status(make_link((2, 3, 11, 11))).to_json_dict()
+    d = record_to_json_dict(se_status(make_link((2, 3, 11, 11))))
     assert d == {
         "positivity": True,
         "sufficient1": False,
@@ -102,6 +104,14 @@ def test_count_weighted_monomials_validates():
         count_weighted_monomials((2, 0), 5)
     with pytest.raises(PreconditionFailed):
         count_weighted_monomials((2, 3), -1)
+
+
+def test_count_weighted_monomials_refuses_a_huge_table_up_front():
+    # a 10^9-entry table would die with MemoryError after allocating
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        count_weighted_monomials((1,), 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_perturbation_monomials():

@@ -311,6 +311,51 @@ def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
         import_records(tmp_path / "bad.jsonl")
 
 
+# The wire contract: the JSON types each field of a record is written and
+# read with, per object ("" is the record, the rest the objects it nests),
+# matched with type(), so a bool is no int.  The codec derives them from the
+# dataclass annotations; a change there that moves one changes the format.
+_NULL = type(None)
+WIRE_TYPES = {
+    "": {
+        "exponents": (list,), "dim": (int,), "degree": (int,),
+        "weights": (list,), "recip_sum": (str,), "mu_P": (int,),
+        "chi_m": (str, _NULL), "middle_rank": (int,),
+        "homotopy_sphere": (bool, _NULL), "rhs": (bool, _NULL),
+        "dim5_type": (dict, _NULL), "sig7": (int, _NULL), "se": (dict,),
+        "moduli": (dict,), "sh0_rank": (int, _NULL),
+    },
+    "dim5_type": {
+        "kind": (str,), "middle_rank": (int,), "count": (int, _NULL),
+        "name": (str, _NULL),
+    },
+    "se": {
+        "positivity": (bool,), "sufficient1": (bool,), "sufficient2": (bool,),
+        "coprime_iff": (str,), "lichnerowicz_obstructed": (bool,),
+        "verdict": (str,),
+    },
+    "moduli": {
+        "applicable": (bool,), "h0_degree": (int,), "h0_weight_sum": (int,),
+        "kuranishi_dim": (int,), "perturbation_count": (int,),
+    },
+}
+
+
+def test_record_schema_is_the_wire_contract():
+    derived = {
+        part: tables._SCHEMA[cls][2]
+        for part, cls in [("", tables.LinkRecord), ("dim5_type", homology.Dim5Type),
+                          ("se", einstein.SEReport), ("moduli", einstein.ModuliReport)]
+    }
+    assert derived == WIRE_TYPES
+    # the same keys, in the same order, as the written objects
+    rec = build_record((2, 3, 4, 16))
+    d = tables.record_to_json_dict(rec)
+    assert list(d) == list(WIRE_TYPES[""])
+    for part in ("dim5_type", "se", "moduli"):
+        assert list(d[part]) == list(WIRE_TYPES[part])
+
+
 def test_jsonl_rejects_malformed_lines(tmp_path):
     (tmp_path / "bad.jsonl").write_text('{"exponents": [2,3,4\n')
     with pytest.raises(SchemaError):
