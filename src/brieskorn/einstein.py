@@ -17,6 +17,17 @@ of admissible perturbation monomials z^b with 0 <= b_j < a_j of weighted
 degree d, counted by meeting in the middle; h^0(O(d)) is the latter plus the
 n + 1 pure powers z_j^{a_j}, the only ones of degree d with some b_j = a_j.
 For some links the two counts disagree in the literature; both are reported.
+
+Both counts are exact sums sum_k b_k / a_k = 1 (target d) or 1/a_i (target
+w_i) over monomials z^b, and most of the box cannot meet them.  Let q_j =
+a_j / gcd(a_j, lcm_{k != j} a_k), a_j over the auxiliary integer above.  If
+p^e exactly divides a_j and every other exponent carries at most p^f, f < e,
+multiply the sum by d = lcm(a): every term but b_j d/a_j, and the right-hand
+side unless it is d/a_j, is divisible by p^(e-f), while d/a_j is prime to p.
+So p^(e-f) divides b_j, or b_j - 1 when the target is w_j; over all such p,
+q_j divides b_j, or b_j - 1.  The counts therefore visit only multiples of
+q_j on axis j, a_j / q_j points instead of a_j, and a weight with q_i > 1
+has h^0(O(w_i)) = 1, the monomial z_i alone.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
+from . import homology
 from .homology import _lattice_halves
 from .linkmodel import _as_link, make_link, sylvester_sequence
 
@@ -74,11 +86,10 @@ class CoprimeVerdict(Enum):
 
 def _b_numbers(exponents):
     """b_i = gcd(lcm of the other exponents, a_i)."""
-    out = []
-    for i, a in enumerate(exponents):
-        rest = math.lcm(*(b for j, b in enumerate(exponents) if j != i))
-        out.append(math.gcd(rest, a))
-    return tuple(out)
+    return tuple(
+        math.gcd(math.lcm(*exponents[:i], *exponents[i + 1:]), a)
+        for i, a in enumerate(exponents)
+    )
 
 
 def se_sufficient(link):
@@ -265,13 +276,21 @@ def count_perturbation_monomials(link):
 
 
 def _monomial_counts(link):
-    """(perturbations, sum_i h^0(O(w_i))) from one kernel call (see
-    :func:`moduli_dimension`); only sums s <= max(w) can meet some w_i."""
-    w, d = link.weights, link.degree
-    kept, other = _lattice_halves(w, map(range, link.exponents), target=d)
+    """(perturbations, sum_i h^0(O(w_i))) from one kernel call over the
+    stride-pruned box (see :func:`moduli_dimension`); only sums s <= max(w)
+    can meet some w_i."""
+    a, w, d = link.exponents, link.weights, link.degree
+    if d + 1 > homology._MAX_HALF_KEYS:
+        # refuse what the kernel refuses on the unpruned box 0 <= b_j < a_j;
+        # while d + 1 is within the key cap, it refuses nothing there
+        homology._split_box(w, map(range, a), target=d)
+    strides = [aj // bj for aj, bj in zip(a, _b_numbers(a))]
+    # an axis with q_j = a_j holds b_j = 0 alone, so it adds nothing
+    axes = [(x, range(0, aj, q)) for x, aj, q in zip(w, a, strides) if q < aj]
+    kept, other = _lattice_halves([x for x, _ in axes], [r for _, r in axes], target=d)
     get, top = kept.get, max(w)
-    weights = Counter(w).items()
-    perturbations = h0_w = 0
+    weights = Counter(x for x, q in zip(w, strides) if q == 1).items()
+    perturbations, h0_w = 0, sum(q > 1 for q in strides)
     for s, n in other:
         perturbations += n * get(d - s, 0)
         if s <= top:
@@ -309,6 +328,16 @@ def moduli_dimension(link):
     counts b >= 0 with sum b_j w_j = w_i, and b_j <= max(w) / w_j =
     a_j / min(a) < a_j, so one kernel call over the box 0 <= b_j < a_j with
     target d answers the perturbations and every w_i at once.
+
+    That call visits only b_j divisible by q_j = a_j / gcd(a_j, lcm of the
+    other exponents).  A prime power p^(e-f) of q_j has p^e exactly dividing
+    a_j and at most p^f in the others; in sum_k b_k d/a_k = d or d/a_i every
+    term but b_j d/a_j is divisible by p^(e-f), d/a_j is not divisible by p,
+    and the right-hand side is divisible by p^(e-f) unless i = j.  So q_j
+    divides every b_j counted, except that b_i = 1 mod q_i for the target
+    w_i: when q_i > 1, b_i = 1 and h^0(O(w_i)) = 1, the monomial z_i.  The
+    boxes of links with d + 1 over the kernel's key cap are still refused
+    as the unpruned box 0 <= b_j < a_j would be.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)

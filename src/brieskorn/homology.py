@@ -322,22 +322,23 @@ def _half_sums(axes, modulus, top):
     sums = {0: 1}
     for w, rng in axes:
         nxt = {}
+        step = rng.step * w
         for s, count in sums.items():
-            for v in range(s + rng.start * w, min(s + rng.stop * w, top), w):
+            for v in range(s + rng.start * w, min(s + rng.stop * w, top), step):
                 v = v % modulus if modulus else v
                 nxt[v] = nxt.get(v, 0) + count
         sums = nxt
     return sums
 
 
-def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
-    """Meet in the middle over the lattice box x_j in ranges[j], split into
-    two halves of balanced box size.  Returns (kept, other): the dict {sum
-    of x_j * steps[j] (mod modulus), at most target: point count} of the
+def _split_box(steps, ranges, modulus=None, target=None, walk=1 << 24):
+    """Split the lattice box x_j in ranges[j] into two halves of balanced
+    box size.  Returns (kept, other, walked): the (step, range) axes of the
     larger half whose bound min(half box, target + 1, modulus) is within
-    _MAX_HALF_KEYS, and (sum, count) pairs of the other half, from its dict
-    or, over the bound, from at most ``walk`` points walked one by one
-    (sums unreduced).  Past a bound BudgetExceeded is raised up front."""
+    _MAX_HALF_KEYS, those of the other half, and whether the other half is
+    over that bound too, so walked point by point.  Both halves over the
+    bound, or a walked half of more than ``walk`` points, raise
+    BudgetExceeded."""
     top = math.inf if target is None else target + 1
     halves, sizes = [[], []], [1, 1]
     for axis in sorted(zip(steps, ranges), key=lambda ax: -len(ax[1])):
@@ -346,14 +347,25 @@ def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
         sizes[k] *= len(axis[1])
     need = [min(n, top, modulus or math.inf) for n in sizes]
     k = max((0, 1), key=lambda j: (need[j] <= _MAX_HALF_KEYS, sizes[j]))
-    axes = [range(r.start * w, r.stop * w, w) for w, r in halves[1 - k]]
     walked = need[1 - k] > _MAX_HALF_KEYS
-    if need[k] > _MAX_HALF_KEYS or walked and math.prod(map(len, axes)) > walk:
+    if need[k] > _MAX_HALF_KEYS or walked and sizes[1 - k] > walk:
         raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
-    kept = _half_sums(halves[k], modulus, top)
+    return halves[k], halves[1 - k], walked
+
+
+def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
+    """Meet in the middle over the lattice box x_j in ranges[j] (each
+    range's step honoured), split by :func:`_split_box`.  Returns (kept,
+    other): the dict {sum of x_j * steps[j] (mod modulus), at most target:
+    point count} of the kept half, and (sum, count) pairs of the other half,
+    from its dict or, when walked, one point at a time (sums unreduced)."""
+    kept, other, walked = _split_box(steps, ranges, modulus, target, walk)
+    top = math.inf if target is None else target + 1
+    sums = _half_sums(kept, modulus, top)
     if walked:
-        return kept, zip(map(sum, product(*axes)), repeat(1))
-    return kept, _half_sums(halves[1 - k], modulus, top).items()
+        axes = [range(r.start * w, r.stop * w, r.step * w) for w, r in other]
+        return sums, zip(map(sum, product(*axes)), repeat(1))
+    return sums, _half_sums(other, modulus, top).items()
 
 
 def _check_box(a, budget):

@@ -586,8 +586,16 @@ def _write_records(records, fh, fmt):
             return count
 
 
-def _check_csv_row(row, rec):
-    """Cross-check a stored CSV row against the recomputed record."""
+def _record_of_csv_row(row):
+    """The record recomputed from a CSV row's exponents, cross-checked
+    against every stored cell."""
+    if len(row) != len(_CSV_COLUMNS):
+        raise SchemaError(f"row has {len(row)} cells, expected {len(_CSV_COLUMNS)}")
+    try:
+        exponents = parse_exponents(row[0])
+    except InvalidExponent:
+        raise SchemaError(f"bad exponents cell {row[0]!r}") from None
+    rec = build_record(exponents, with_sh0=bool(row[11]))
     fresh = record_to_csv_row(rec)
     for (name, _), stored, computed in zip(_CSV_COLUMNS, row, fresh):
         if name == "chi_m" and stored and computed:
@@ -602,6 +610,7 @@ def _check_csv_row(row, rec):
                 f"column {name!r} of {row[0]!r}: stored {stored!r} "
                 f"disagrees with recomputed {computed!r}"
             )
+    return rec
 
 
 def import_records(path, fmt=None):
@@ -635,16 +644,10 @@ def _iter_imported(path, fmt=None):
                     f"unexpected CSV header {';'.join(header)!r}"
                 )
             for row in reader:
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"row has {len(row)} cells, expected {len(header)}"
-                    )
                 try:
-                    exponents = parse_exponents(row[0])
-                except InvalidExponent:
-                    raise SchemaError(f"bad exponents cell {row[0]!r}") from None
-                rec = build_record(exponents, with_sh0=bool(row[11]))
-                _check_csv_row(row, rec)
+                    rec = _record_of_csv_row(row)
+                except SchemaError as exc:
+                    raise SchemaError(f"line {reader.line_num}: {exc}") from None
                 yield rec
         else:
             for lineno, line in enumerate(fh, 1):

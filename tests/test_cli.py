@@ -378,6 +378,26 @@ def test_collide_names_the_line_and_field_of_a_bad_record(
     assert f"brieskorn: error: {message}\n" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row + ";x", "line 6: row has 13 cells, expected 12"),
+    (lambda row: row.replace("3/2", "1/2"),
+     "line 6: column 'chi_m' of '2,2,3,3': stored '1/2' disagrees with "
+     "recomputed '3/2'"),
+])
+def test_collide_names_the_line_of_a_bad_csv_row(tmp_path, capsys, edit,
+                                                 message):
+    path = tmp_path / "in.csv"
+    run_cli(capsys, "enumerate", "--dim", "5", "--max-exponent", "5",
+            "--out", str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[5].startswith("2,2,3,3;")
+    lines[5] = edit(lines[5].rstrip("\n")) + "\n"
+    path.write_text("".join(lines))
+    code, out, err = run_cli(capsys, "collide", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert f"brieskorn: error: {message}\n" in err
+
+
 def test_enumerate_out_names_the_path_given(tmp_path, capsys):
     path = tmp_path / "no" / "such" / "census.jsonl"
     code, out, err = run_cli(capsys, "enumerate", "--dim", "5",

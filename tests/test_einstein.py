@@ -133,25 +133,41 @@ def test_count_perturbation_monomials_prunes_at_target():
 
 
 def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
-    # h0(O(d)) of (2,2,3,5,97) splits into halves of 98 and 216 points; with
-    # the key cap at 100 the 216-point half is walked instead of stored
-    link = make_link((2, 2, 3, 5, 97))
+    # the stride-pruned box of (2,12,18,24) has strides (1,1,3,2) and splits
+    # into halves of 24 and 72 points; with the key cap at 50 the 72-point
+    # half is walked instead of stored (the unpruned box, halves of 48 and
+    # 216 points, is not refused at that cap either)
+    link = make_link((2, 12, 18, 24))
     report = moduli_dimension(link)
     assert report.h0_degree == count_weighted_monomials(link.weights, link.degree)
-    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 100)
+    real, walked = einstein._lattice_halves, []
+
+    def spy(*args, **kwargs):
+        kept, other = real(*args, **kwargs)
+        walked.append(not isinstance(other, ItemsView))
+        return kept, other
+
+    monkeypatch.setattr(einstein, "_lattice_halves", spy)
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 50)
     assert moduli_dimension(link) == report
     assert count_perturbation_monomials(link) == report.perturbation_count
+    assert walked == [True, True]
 
 
-def seeded_moduli_vectors(count=40, seed=11):
-    """3-6 exponents in 2..24 whose degree keeps the h0 DP oracle cheap."""
+def seeded_moduli_vectors(count=40, seed=11, pool=range(2, 25)):
+    """3-6 exponents from ``pool`` whose degree keeps the h0 DP oracle cheap."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        v = tuple(rng.randint(2, 24) for _ in range(rng.randint(3, 6)))
+        v = tuple(rng.choice(pool) for _ in range(rng.randint(3, 6)))
         if math.lcm(*v) <= 20_000:
             out.append(v)
     return out
+
+
+# Exponents sharing prime powers, so the moduli box is pruned only partly
+# and still splits into two halves.
+SHARED_PRIME_POWERS = (2, 3, 4, 6, 8, 9, 12, 16, 18, 24)
 
 
 def h0_weight_sum_by_dp(link):
@@ -168,7 +184,8 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
     # all h0(O(w_i)) come from the one kernel call, the one with target d
     # that also counts the perturbations.  Give that call the smallest key
     # cap it accepts: then the half with fewer keys is kept and the other is
-    # walked (unless both need as many).
+    # walked (unless both need as many).  Exponents from shared prime powers
+    # keep enough of the box for a half to be walked.
     real, walked = einstein._lattice_halves, []
 
     def spy(steps, ranges, modulus=None, target=None, walk=1 << 24):
@@ -184,7 +201,7 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
 
     monkeypatch.setattr(einstein, "_lattice_halves", spy)
     hits = 0
-    for v in seeded_moduli_vectors():
+    for v in seeded_moduli_vectors(80, seed=1, pool=SHARED_PRIME_POWERS):
         link = make_link(v)
         for cap in itertools.count(1):
             walked.clear()
@@ -197,6 +214,22 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
             assert report.h0_weight_sum == h0_weight_sum_by_dp(link), v
             hits += 1
     assert hits >= 30
+
+
+@pytest.mark.parametrize("vec, counts", [
+    ((2, 3, 5, 7, 4759000), (12, 9, 3, 7)),
+    ((2, 2, 2, 2, 1048579), (11, 17, -6, 6)),
+])
+def test_moduli_of_a_large_pruned_box(vec, counts):
+    # strides (1, 3, 1, 7, 475900) and (1, 1, 1, 1, 1048579): the unpruned
+    # boxes have 10^9 and 1.7 * 10^7 points, each with a half over the key
+    # cap that took seconds to walk; the pruned ones have 100 and 16
+    link = make_link(vec)
+    start = time.perf_counter()
+    r = moduli_dimension(link)
+    assert time.perf_counter() - start < 0.25
+    assert (r.h0_degree, r.h0_weight_sum, r.kuranishi_dim,
+            r.perturbation_count) == counts
 
 
 def test_moduli_report():

@@ -43,8 +43,10 @@ from brieskorn import (
     strata,
     sylvester_sequence,
 )
+from brieskorn.einstein import _b_numbers
 from brieskorn.homology import _quotient_chi
 from brieskorn.linkmodel import _lattice_strata, _stratum_period_count
+from test_einstein import SHARED_PRIME_POWERS
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
 
@@ -274,6 +276,31 @@ def test_moduli_counts_match_weighted_monomial_dp(vec):
     w = link.weights
     assert report.h0_degree == count_weighted_monomials(w, link.degree)
     assert report.h0_weight_sum == sum(count_weighted_monomials(w, x) for x in w)
+
+
+@SETTINGS
+@given(
+    st.lists(st.sampled_from(SHARED_PRIME_POWERS), min_size=3, max_size=5)
+    .map(tuple)
+    .filter(lambda v: math.prod(v) <= 20_000)
+)
+def test_pruned_moduli_box_matches_dp_and_brute_force(vec):
+    # shared prime powers prune the box only partly: every stride q_i > 1
+    # leaves h0(O(w_i)) = 1, and the counts agree with both oracles
+    link = make_link(vec)
+    report = moduli_dimension(link)
+    w, d = link.weights, link.degree
+    assert report.h0_degree == count_weighted_monomials(w, d)
+    assert report.h0_weight_sum == sum(count_weighted_monomials(w, x) for x in w)
+    brute = sum(
+        1
+        for b in itertools.product(*(range(a) for a in vec))
+        if sum(bj * wj for bj, wj in zip(b, w)) == d
+    )
+    assert report.perturbation_count == brute
+    for a, b, x in zip(link.exponents, _b_numbers(link.exponents), w):
+        if a // b > 1:
+            assert count_weighted_monomials(w, x) == 1
 
 
 @SETTINGS
