@@ -1,14 +1,18 @@
 """Sasaki-Einstein existence criteria and deformation counts.
 
 Everything here evaluates number-theoretic inequalities and lattice counts
-in exact arithmetic; no metric is ever constructed.  The criteria are the
-classical ones for Brieskorn-Pham links:
+in exact integer arithmetic; no metric is ever constructed.  The criteria
+are the classical ones for Brieskorn-Pham links:
 
 * two sufficient inequalities in the style of Boyer-Galicki-Kollar, using
-  the auxiliary integers b_i = gcd(lcm_{j != i} a_j, a_i);
+  the auxiliary integers b_i = gcd(lcm_{j != i} a_j, a_i), which the link's
+  profile keeps (``LinkProfile.b_numbers``);
 * the Ghigi-Kollar sharp characterization in the pairwise-coprime case;
 * the Lichnerowicz-type obstruction of Gauntlett-Martelli-Sparks-Yau,
   expressed through the weights.
+
+Each inequality in sigma = sum 1/a_i is cleared of denominators through
+sigma = W / d, W = sum w_i, so the tests compare integers, not Fractions.
 
 The three are combined into a single verdict (Exists / Obstructed / Unknown)
 by :func:`se_status`.  The moduli side counts weighted-homogeneous monomials:
@@ -33,10 +37,8 @@ has h^0(O(w_i)) = 1, the monomial z_i alone.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -84,14 +86,6 @@ class CoprimeVerdict(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-def _b_numbers(exponents):
-    """b_i = gcd(lcm of the other exponents, a_i)."""
-    return tuple(
-        math.gcd(math.lcm(*exponents[:i], *exponents[i + 1:]), a)
-        for i, a in enumerate(exponents)
-    )
-
-
 def se_sufficient(link):
     """The two sufficient inequalities, as a pair of booleans.
 
@@ -101,32 +95,31 @@ def se_sufficient(link):
                { 1/(b_i b_j) : i < j }
       second:  1 < sigma < 1 + (n/(n-1)) * min_i(1/a_i) * max_j(1/a_j)
 
-    Either firing implies a Sasaki-Einstein metric exists.
+    Either firing implies a Sasaki-Einstein metric exists.  Both compare
+    integers: with W = sum w_i = d * sigma, sigma > 1 is W > d, and sigma <
+    1 + n / ((n-1) M) is W (n-1) M < d ((n-1) M + n), where M = max(max_i
+    a_i, max_{i<j} b_i b_j) for the first and max(a) min(a) for the second.
 
     >>> se_sufficient(make_link((2, 3, 11, 11)))
     (False, True)
     """
     link = _as_link(link)
     _require_surface_dim(link)
-    a = link.exponents
-    n = len(a) - 1
-    sigma = link.recip_sum
-    if sigma <= 1:
+    a, d, w_sum = link.exponents, link.degree, sum(link.weights)
+    if w_sum <= d:
         return (False, False)
-    factor = Fraction(n, n - 1)
-    bs = _b_numbers(a)
-    small = min(
-        min(Fraction(1, ai) for ai in a),
-        min(Fraction(1, bs[i] * bs[j]) for i, j in combinations(range(len(a)), 2)),
+    n = len(a) - 1
+    b_lo, b_hi = sorted(link.b_numbers)[-2:]
+    return tuple(
+        w_sum * (n - 1) * m < d * ((n - 1) * m + n)
+        for m in (max(max(a), b_lo * b_hi), max(a) * min(a))
     )
-    first = sigma < 1 + factor * small
-    second = sigma < 1 + factor * Fraction(1, max(a)) * Fraction(1, min(a))
-    return (first, second)
 
 
 def se_coprime_iff(link):
     """Ghigi-Kollar: for pairwise coprime exponents the existence question
-    is *equivalent* to 1 < sigma < 1 + n * min_i(1/a_i).
+    is *equivalent* to 1 < sigma < 1 + n * min_i(1/a_i), which with W =
+    sum w_i = d * sigma is d < W and W max(a) < d (max(a) + n).
 
     Returns Yes/No accordingly, or NotApplicable when some pair of exponents
     shares a factor.
@@ -140,10 +133,8 @@ def se_coprime_iff(link):
     _require_surface_dim(link)
     if link.gcd_graph:
         return CoprimeVerdict.NOT_APPLICABLE
-    a = link.exponents
-    n = len(a) - 1
-    sigma = link.recip_sum
-    if 1 < sigma < 1 + Fraction(n, max(a)):
+    a, d, w_sum = link.exponents, link.degree, sum(link.weights)
+    if d < w_sum and w_sum * max(a) < d * (max(a) + len(a) - 1):
         return CoprimeVerdict.YES
     return CoprimeVerdict.NO
 
@@ -215,7 +206,7 @@ def se_status(link):
     else:
         verdict = SEVerdict.UNKNOWN
     return SEReport(
-        positivity=link.recip_sum > 1,
+        positivity=sum(link.weights) > link.degree,  # sigma > 1
         sufficient1=s1,
         sufficient2=s2,
         coprime_iff=cop,
@@ -284,13 +275,18 @@ def _monomial_counts(link):
         # refuse what the kernel refuses on the unpruned box 0 <= b_j < a_j;
         # while d + 1 is within the key cap, it refuses nothing there
         homology._split_box(w, map(range, a), target=d)
-    strides = [aj // bj for aj, bj in zip(a, _b_numbers(a))]
-    # an axis with q_j = a_j holds b_j = 0 alone, so it adds nothing
-    axes = [(x, range(0, aj, q)) for x, aj, q in zip(w, a, strides) if q < aj]
-    kept, other = _lattice_halves([x for x, _ in axes], [r for _, r in axes], target=d)
-    get, top = kept.get, max(w)
-    weights = Counter(x for x, q in zip(w, strides) if q == 1).items()
-    perturbations, h0_w = 0, sum(q > 1 for q in strides)
+    steps, axes, weights, h0_w = [], [], {}, 0
+    for x, aj, bj in zip(w, a, link.b_numbers):
+        q = aj // bj
+        if q < aj:  # an axis with q_j = a_j holds b_j = 0 alone
+            steps.append(x)
+            axes.append(range(0, aj, q))
+        h0_w += q > 1  # then h^0(O(w_i)) = 1: the monomial z_i alone
+        if q == 1:
+            weights[x] = weights.get(x, 0) + 1
+    kept, other = _lattice_halves(steps, axes, target=d)
+    get, top, weights = kept.get, max(w), weights.items()
+    perturbations = 0
     for s, n in other:
         perturbations += n * get(d - s, 0)
         if s <= top:

@@ -149,24 +149,17 @@ def chi_s1(exponents):
 
 
 def _gcd_graph_reading(exponents):
-    """What both sphere criteria read off the link's gcd graph: the number
-    of isolated vertices, and whether some component of odd order >= 3 has
-    all pairwise gcds exactly 2.  Needs dimension >= 5."""
+    """What both sphere criteria read off the link's gcd graph, kept with
+    its profile (``LinkProfile._gcd_reading``): the number of isolated
+    vertices, and whether some component of odd order >= 3 has all
+    pairwise gcds exactly 2.  Needs dimension >= 5."""
     link = _as_link(exponents)
-    a = link.exponents
-    if len(a) < 4:
+    if len(link.exponents) < 4:
         raise DimensionTooLow(
             "the gcd-graph sphere criteria apply to links of dimension >= 5 "
-            f"(at least four exponents); got {len(a)}"
+            f"(at least four exponents); got {len(link.exponents)}"
         )
-    comps = link._gcd_components
-    odd_two = any(
-        len(comp) >= 3
-        and len(comp) % 2 == 1
-        and all(math.gcd(a[i], a[j]) == 2 for i, j in combinations(comp, 2))
-        for comp in comps
-    )
-    return sum(len(comp) == 1 for comp in comps), odd_two
+    return link._gcd_reading
 
 
 def is_rational_homology_sphere(exponents):
@@ -322,11 +315,11 @@ def _half_sums(axes, modulus, top):
     sums = {0: 1}
     for w, rng in axes:
         nxt = {}
-        step = rng.step * w
+        get, lo, hi, step = nxt.get, rng.start * w, rng.stop * w, rng.step * w
         for s, count in sums.items():
-            for v in range(s + rng.start * w, min(s + rng.stop * w, top), step):
+            for v in range(s + lo, min(s + hi, top), step):
                 v = v % modulus if modulus else v
-                nxt[v] = nxt.get(v, 0) + count
+                nxt[v] = get(v, 0) + count
         sums = nxt
     return sums
 
@@ -341,14 +334,17 @@ def _split_box(steps, ranges, modulus=None, target=None, walk=1 << 24):
     BudgetExceeded."""
     top = math.inf if target is None else target + 1
     halves, sizes = [[], []], [1, 1]
-    for axis in sorted(zip(steps, ranges), key=lambda ax: -len(ax[1])):
+    axes = sorted(zip(steps, ranges), key=lambda ax: len(ax[1]), reverse=True)
+    for axis in axes:
         k = sizes[1] < sizes[0]
         halves[k].append(axis)
         sizes[k] *= len(axis[1])
     need = [min(n, top, modulus or math.inf) for n in sizes]
-    k = max((0, 1), key=lambda j: (need[j] <= _MAX_HALF_KEYS, sizes[j]))
-    walked = need[1 - k] > _MAX_HALF_KEYS
-    if need[k] > _MAX_HALF_KEYS or walked and sizes[1 - k] > walk:
+    # keep the half within the cap, else the larger box; half 0 on a tie
+    cap = _MAX_HALF_KEYS
+    k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
+    walked = need[1 - k] > cap
+    if need[k] > cap or walked and sizes[1 - k] > walk:
         raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
     return halves[k], halves[1 - k], walked
 

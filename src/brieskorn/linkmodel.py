@@ -28,9 +28,10 @@ its minimal period lcm{ a_j : j in I_T }.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -53,22 +54,24 @@ __all__ = [
 ]
 
 
+# A typed integer; int() alone also reads underscores and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_exponents(text):
     """Parse a comma-separated exponent vector such as ``"2,3,4,16"``.
+
+    Each cell, stripped, must be an optionally signed run of ASCII digits;
+    an empty cell is an error.
 
     >>> parse_exponents("2,3,4,16")
     (2, 3, 4, 16)
     """
-    parts = [p.strip() for p in str(text).split(",") if p.strip() != ""]
-    if not parts:
-        raise InvalidExponent("empty exponent vector")
-    out = []
+    parts = [p.strip() for p in str(text).split(",")]
     for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise InvalidExponent(f"exponent {p!r} is not an integer") from None
-    return tuple(out)
+        if not _INTEGER.fullmatch(p):
+            raise InvalidExponent(f"exponent {p!r} is not an integer")
+    return tuple(map(int, parts))
 
 
 def canonical_exponents(exponents):
@@ -95,9 +98,10 @@ class LinkProfile:
     recip_sum : Fraction, sum of 1/a_j; the link is "positive" (log Fano
         range) exactly when this exceeds 1
 
-    The strata (:func:`_lattice_strata`) and the components of the gcd
-    graph are computed on first use and kept with the profile, so the
-    invariants handed one profile share them.
+    The strata (:func:`_lattice_strata`), the Boyer-Galicki-Kollar numbers
+    and the gcd graph with its components and their reading are computed on
+    first use and kept with the profile, so the invariants handed one
+    profile share them.
     """
 
     exponents: tuple
@@ -133,6 +137,29 @@ class LinkProfile:
         for i in range(len(parent)):
             comps.setdefault(find(i), []).append(i)
         return tuple(map(tuple, comps.values()))
+
+    @cached_property
+    def _gcd_reading(self):
+        """What both sphere criteria read off :attr:`gcd_graph`: the number
+        of isolated vertices, and whether some component of odd order >= 3
+        has all pairwise gcds exactly 2."""
+        a, comps = self.exponents, self._gcd_components
+        odd_two = any(
+            len(comp) >= 3
+            and len(comp) % 2 == 1
+            and all(math.gcd(a[i], a[j]) == 2 for i, j in combinations(comp, 2))
+            for comp in comps
+        )
+        return sum(len(comp) == 1 for comp in comps), odd_two
+
+    @cached_property
+    def b_numbers(self):
+        """b_i = gcd(lcm of the other exponents, a_i), the auxiliary
+        integers of the Boyer-Galicki-Kollar inequalities."""
+        a = self.exponents
+        return tuple(
+            math.gcd(math.lcm(*a[:i], *a[i + 1:]), x) for i, x in enumerate(a)
+        )
 
     @property
     def canonical(self):
@@ -227,12 +254,12 @@ class Stratum(NamedTuple):
 _MAX_SUBSETS = 1 << 18
 
 # Most index subsets of a lattice whose shape is kept.  The shape of the
-# lattice of n positions holds n * 2^(n-1) Moebius pairs and up to 2^n
-# index sets: for 2^n <= 256 (n <= 8 exponents) all kept shapes together
-# are a few thousand small objects, while one for n = 18 would hold 2.4M
-# pairs.  Past the cap a walk builds only what it reads and keeps nothing.
+# lattice of n positions holds n * 2^(n-1) Moebius pairs, 2^n walk steps
+# and up to 2^n index sets: for 2^n <= 256 (n <= 8 exponents) all kept
+# shapes together are a few thousand small objects, while one for n = 18
+# would hold 2.4M pairs.  Past the cap a walk keeps nothing.
 _MAX_KEPT_SHAPE = 1 << 8
-_LATTICE_SHAPES = {}  # n -> (Moebius pairs, mask -> mask shape), n <= 8
+_LATTICE_SHAPES = {}  # n -> (Moebius pairs, walk steps, mask rows), n <= 8
 
 
 def _mask_shape(n, s):
@@ -254,19 +281,21 @@ def _moebius_pairs(n):
 
 
 def _lattice_shape(n):
-    """The shape of the subset lattice of n positions, which depends on n
-    alone: its Moebius pairs, and a map from each mask with |S| >= 2 to
-    its :func:`_mask_shape`.  Shared by every link with n exponents when
-    2^n <= 256; larger arities get a generator and a per-mask function,
-    so a walk keeps no state."""
+    """The plan of a walk over the subset lattice of n positions, which
+    depends on n alone: its Moebius pairs; for each mask S > 0 in order,
+    the walk step (S minus its lowest index, that index); and for each mask
+    with |S| >= 2, the row (S, *:func:`_mask_shape`).  Shared by every link
+    with n exponents when 2^n <= 256; larger arities get generators, so a
+    walk keeps no state."""
     shape = _LATTICE_SHAPES.get(n)
     if shape is not None:
         return shape
+    steps = ((s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << n))
+    rows = ((s, *_mask_shape(n, s)) for s in range(1 << n) if s & (s - 1))
+    plan = _moebius_pairs(n), steps, rows
     if 1 << n > _MAX_KEPT_SHAPE:
-        return _moebius_pairs(n), partial(_mask_shape, n)
-    masks = [_mask_shape(n, s) if s & (s - 1) else None for s in range(1 << n)]
-    shape = _LATTICE_SHAPES[n] = (tuple(_moebius_pairs(n)), masks.__getitem__)
-    return shape
+        return plan
+    return _LATTICE_SHAPES.setdefault(n, tuple(map(tuple, plan)))
 
 
 def _lattice_strata(link):
@@ -277,12 +306,12 @@ def _lattice_strata(link):
     walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
     lcm(lcm of S minus its lowest index j, a_j), prod(a_S) likewise.  Per
     index, Moebius transforms turn #{T : S within I_T} = d / lcm(a_S) into
-    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  Which
-    masks those transforms pair, and each mask's index set, sub-exponent
-    getter and dim, depend on n alone: :func:`_lattice_shape` builds them
-    once per arity and shares them, so the walk does only the per-link
-    arithmetic.  More than 2^18 subsets raise BudgetExceeded before
-    anything is allocated.
+    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  The
+    walk steps, the masks those transforms pair, and each mask's index
+    set, sub-exponent getter and dim depend on n alone:
+    :func:`_lattice_shape` plans them once per arity and shares the plan,
+    so the walk does only the per-link arithmetic.  More than 2^18 subsets
+    raise BudgetExceeded before anything is allocated.
     """
     a = link.exponents
     if len(a) < 3:
@@ -292,13 +321,11 @@ def _lattice_strata(link):
         )
     if 1 << len(a) > _MAX_SUBSETS:
         raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
-    pairs, mask_shape = _lattice_shape(len(a))
+    pairs, steps, rows = _lattice_shape(len(a))
     lcms, prods = [1], [1]  # indexed by the bit mask of S
-    for s in range(1, 1 << len(a)):
-        rest = s & (s - 1)
-        aj = a[(s ^ rest).bit_length() - 1]
-        lcms.append(math.lcm(lcms[rest], aj))
-        prods.append(prods[rest] * aj)
+    for rest, j in steps:
+        lcms.append(math.lcm(lcms[rest], a[j]))
+        prods.append(prods[rest] * a[j])
     counts = [lcms[-1] // t for t in lcms]
     kappas = [p // t for p, t in zip(prods, lcms)]
     for lo, hi in pairs:
@@ -308,14 +335,12 @@ def _lattice_strata(link):
         raise InternalInconsistency("principal stratum missing or misplaced")
     if min(kappas) < 0:  # each kappa(S) counts lattice points
         raise InternalInconsistency(f"negative sub-link middle rank in {a}")
-    out = []
-    for s, e in enumerate(counts):
-        if e > 0 and s & (s - 1):
-            index_set, getter, dim = mask_shape(s)
-            out.append(
-                Stratum(index_set, getter(a), lcms[s], dim, e, kappas[s])
-            )
-    out.sort(key=lambda st: st.min_period)
+    out = [
+        Stratum(index_set, getter(a), lcms[s], dim, counts[s], kappas[s])
+        for s, index_set, getter, dim in rows
+        if counts[s] > 0
+    ]
+    out.sort(key=itemgetter(2))  # by min_period
     return tuple(out)
 
 

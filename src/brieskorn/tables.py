@@ -47,7 +47,8 @@ from .homology import (
     milnor_signature_dim7,
 )
 from .invariants import mean_euler, principal_index, sh_plus_ranks
-from .linkmodel import _as_link, canonical_exponents, make_link, parse_exponents
+from .linkmodel import _INTEGER, _as_link, canonical_exponents, make_link
+from .linkmodel import parse_exponents
 
 __all__ = [
     "LinkRecord",
@@ -248,7 +249,7 @@ class SweepSpec:
         return tuple(vec)
 
 
-_SLOT_RE = re.compile(r"^(-?\d+)\+(\d+)k$")
+_SLOT_RE = re.compile(r"^(-?[0-9]+)\+([0-9]+)k$")
 
 
 def parse_sweep_spec(family, k_range):
@@ -261,21 +262,20 @@ def parse_sweep_spec(family, k_range):
         if m:
             entries.append((int(m.group(1)), int(m.group(2))))
             slots += 1
+        elif _INTEGER.fullmatch(part):
+            entries.append(int(part))
         else:
-            try:
-                entries.append(int(part))
-            except ValueError:
-                raise PreconditionFailed(
-                    f"cannot parse family entry {part!r} "
-                    "(expected an integer or B+Ck)"
-                ) from None
+            raise PreconditionFailed(
+                f"cannot parse family entry {part!r} "
+                "(expected an integer or B+Ck)"
+            )
     if slots != 1:
         raise PreconditionFailed(
             f"family must contain exactly one B+Ck slot, found {slots}"
         )
     if len(entries) < 3:
         raise PreconditionFailed("family needs at least three entries")
-    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", str(k_range).strip())
+    m = re.match(r"^(-?[0-9]+)\.\.(-?[0-9]+)$", str(k_range).strip())
     if not m:
         raise PreconditionFailed(
             f"cannot parse k range {k_range!r} (expected LO..HI)"

@@ -13,6 +13,7 @@ from brieskorn import (
     BudgetExceeded,
     CoprimeVerdict,
     PreconditionFailed,
+    SEReport,
     SEVerdict,
     count_perturbation_monomials,
     count_weighted_monomials,
@@ -76,6 +77,46 @@ def test_report_json_shape():
         "lichnerowicz_obstructed": False,
         "verdict": "Exists",
     }
+
+
+def se_status_by_fractions(vec):
+    """The SE report with se_sufficient, se_coprime_iff and positivity in
+    their Fraction form, sigma = sum 1/a_i: the reference the integer tests
+    are checked against."""
+    a = tuple(vec)
+    n = len(a) - 1
+    sigma = sum(Fraction(1, x) for x in a)
+    s1 = s2 = False
+    if sigma > 1:
+        factor = Fraction(n, n - 1)
+        bs = [math.gcd(math.lcm(*a[:i], *a[i + 1:]), x) for i, x in enumerate(a)]
+        small = min(
+            min(Fraction(1, x) for x in a),
+            min(Fraction(1, bi * bj) for bi, bj in itertools.combinations(bs, 2)),
+        )
+        s1 = sigma < 1 + factor * small
+        s2 = sigma < 1 + factor * Fraction(1, max(a)) * Fraction(1, min(a))
+    if any(math.gcd(x, y) > 1 for x, y in itertools.combinations(a, 2)):
+        cop = CoprimeVerdict.NOT_APPLICABLE
+    elif 1 < sigma < 1 + Fraction(n, max(a)):
+        cop = CoprimeVerdict.YES
+    else:
+        cop = CoprimeVerdict.NO
+    lich = lichnerowicz_obstructed(a)
+    if s1 or s2 or cop is CoprimeVerdict.YES:
+        verdict = SEVerdict.EXISTS
+    elif lich or cop is CoprimeVerdict.NO:
+        verdict = SEVerdict.OBSTRUCTED
+    else:
+        verdict = SEVerdict.UNKNOWN
+    return SEReport(sigma > 1, s1, s2, cop, lich, verdict)
+
+
+@pytest.mark.parametrize("top,length", [(30, 3), (18, 4), (10, 5)])
+def test_integer_se_tests_match_the_fraction_reference(top, length):
+    # every 3-multiset of 2..30, 4-multiset of 2..18, 5-multiset of 2..10
+    for v in itertools.combinations_with_replacement(range(2, top + 1), length):
+        assert se_status(make_link(v)) == se_status_by_fractions(v), v
 
 
 def brute_weighted_count(weights, degree):

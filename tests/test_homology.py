@@ -258,7 +258,9 @@ def test_gcd_graph_criteria_read_the_profile_components():
     link = make_link((2, 2, 3, 3))
     assert link._gcd_components == ((0, 1), (2, 3))
     assert not is_homotopy_sphere(link)
-    # the criteria read what the profile keeps, not a second walk
+    # the criteria read what the profile keeps, not a second walk: the
+    # reading is kept too, so inject into a fresh profile before first use
+    link = make_link((2, 2, 3, 3))
     link.__dict__["_gcd_components"] = ((0,), (1,), (2,), (3,))
     assert is_homotopy_sphere(link)
     assert se_coprime_iff(link) is CoprimeVerdict.NOT_APPLICABLE
@@ -267,18 +269,24 @@ def test_gcd_graph_criteria_read_the_profile_components():
 
 
 def test_census_record_walks_gcd_graph_once(monkeypatch):
-    prop = LinkProfile.__dict__["_gcd_components"]
-    walk, walked = prop.func, []
+    # the gcd graph's components, their reading by both sphere criteria and
+    # the b-numbers of the SE tests and the moduli box: once per record
+    names = ["_gcd_components", "_gcd_reading", "b_numbers"]
+    made = {name: [] for name in names}
 
-    def counting_walk(link):
-        walked.append(link.exponents)
-        return walk(link)
+    def counting(name, func):
+        def wrapped(link):
+            made[name].append(link.exponents)
+            return func(link)
+        return wrapped
 
-    monkeypatch.setattr(prop, "func", counting_walk)
+    for name in names:
+        prop = LinkProfile.__dict__[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
     vectors = [(2, 3, 4, 16), (2, 2, 3, 3), (2, 3, 5, 7), (2, 2, 2, 3, 5)]
     for v in vectors:
         build_record(v)
-    assert walked == vectors
+    assert made == {name: vectors for name in names}
 
 
 def test_diffeo_type_sphere():

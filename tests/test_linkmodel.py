@@ -57,7 +57,12 @@ def test_parse_exponents():
     assert parse_exponents(" 2, 3 ,4 ") == (2, 3, 4)
 
 
-@pytest.mark.parametrize("text", ["", ",,", "2,x,4", "2,3.5"])
+@pytest.mark.parametrize("text", [
+    "", ",,", "2,x,4", "2,3.5",
+    # an empty cell, an underscore and a non-ASCII digit are not typed
+    # integers, although int() reads the last two
+    "2,,3,4", "2,3,4,", "2,3,4_0", "\u0663,2,4",
+])
 def test_parse_exponents_rejects(text):
     # parsing is lexical only; value/length checks live in make_link
     with pytest.raises(InvalidExponent):

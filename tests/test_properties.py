@@ -43,10 +43,9 @@ from brieskorn import (
     strata,
     sylvester_sequence,
 )
-from brieskorn.einstein import _b_numbers
 from brieskorn.homology import _quotient_chi
 from brieskorn.linkmodel import _lattice_strata, _stratum_period_count
-from test_einstein import SHARED_PRIME_POWERS
+from test_einstein import SHARED_PRIME_POWERS, se_status_by_fractions
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
 
@@ -298,9 +297,15 @@ def test_pruned_moduli_box_matches_dp_and_brute_force(vec):
         if sum(bj * wj for bj, wj in zip(b, w)) == d
     )
     assert report.perturbation_count == brute
-    for a, b, x in zip(link.exponents, _b_numbers(link.exponents), w):
+    for a, b, x in zip(link.exponents, link.b_numbers, w):
         if a // b > 1:
             assert count_weighted_monomials(w, x) == 1
+
+
+@SETTINGS
+@given(st.lists(st.integers(2, 60), min_size=3, max_size=8).map(tuple))
+def test_integer_se_tests_match_fractions(vec):
+    assert se_status(make_link(vec)) == se_status_by_fractions(vec)
 
 
 @SETTINGS

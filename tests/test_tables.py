@@ -153,6 +153,11 @@ def test_parse_sweep_spec():
     ("2,3,4+12q", "0..5"),      # bad slot syntax
     ("2,3,4+12k", "5..0"),      # empty range
     ("2,3,4+12k", "0-5"),       # bad range syntax
+    # only ASCII digits, without underscores, are typed integers
+    ("2,3_0,4,4+12k", "0..5"),  # plain entry int() reads as 30
+    ("2,\u0663,4+12k", "0..5"),  # non-ASCII digit in a plain entry
+    ("2,3,\u0664+12k", "0..5"),  # ... in the slot
+    ("2,3,4+12k", "0..\u0665"),  # ... in the k range
 ])
 def test_parse_sweep_spec_rejects(family, k_range):
     with pytest.raises(PreconditionFailed):
