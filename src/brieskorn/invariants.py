@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap
+from itertools import starmap, takewhile
 
 from .errors import (
     BudgetExceeded,
@@ -343,12 +343,12 @@ def e1_page(link, k_lo, k_hi):
 
     Only columns that can meet [k_lo-1, k_hi+1] are built.  A column of
     period T spans degrees within n - 1 of T * mu_P / d, which bounds T to
-    an interval; each stratum walks its multiples there, skipping those an
+    [t_lo, t_hi].  Only strata of minimal period T_i <= t_hi, a prefix of
+    ``link.strata``, are read, each walking its multiples there but those an
     outside exponent divides (they belong to a bigger stratum).  The cost
-    therefore grows with the candidate periods, about
-    (k_hi - k_lo + 2n) * d / |mu_P| * sum 1/T_i over the strata, not with
-    d alone.  When these plus the degrees of the window exceed 2^24,
-    BudgetExceeded is raised before anything is built.
+    grows with these candidate periods, about (k_hi - k_lo + 2n) * d /
+    |mu_P| * sum 1/T_i over those strata, not with d alone; past 2^24 of
+    them plus window degrees, BudgetExceeded is raised before any is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
     whose degree span meets [k_lo-1, k_hi+1], built as :class:`PageColumn`
@@ -376,6 +376,7 @@ def e1_page(link, k_lo, k_hi):
     if mu_p < 0:
         lo, hi = hi, lo
     t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
+    st = tuple(takewhile(lambda s: s.min_period <= t_hi, st))
     work = k_hi - k_lo + 1 + sum(
         max(0, t_hi // s.min_period - (t_lo - 1) // s.min_period) for s in st
     )

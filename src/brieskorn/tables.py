@@ -396,6 +396,12 @@ def _int_tuple(items):
     return tuple(items)
 
 
+class _Members(dict):
+    """An Enum's {value: member} table; a value it lacks is a ValueError."""
+    def __missing__(self, value):
+        raise ValueError(value)
+
+
 def _field_codec(tp, where):
     """(JSON types, encode, decode) of a field annotated ``tp``: a Fraction
     is a string, an Enum its value, a tuple a list of ints, a dataclass an
@@ -410,8 +416,9 @@ def _field_codec(tp, where):
         return (dict,), *_codec(tp, where + ".")
     if tp is Fraction:
         return (str,), str, Fraction
-    if issubclass(tp, Enum):
-        return (str,), attrgetter("value"), tp
+    if issubclass(tp, Enum):  # a {value: member} table, made once
+        members = _Members((m.value, m) for m in tp)
+        return (str,), attrgetter("value"), members.__getitem__
     if tp is tuple:
         return (list,), list, _int_tuple
     return (tp,), None, None
@@ -424,8 +431,10 @@ def _codec(cls, prefix=""):
     """The JSON writer and reader of the dataclass ``cls``, derived from
     its fields, in order, and their annotations (see :func:`_field_codec`).
     Types match by type(), so a bool is no int; the reader ignores other
-    keys and names a bad field by its dotted path.  Each nested dataclass
-    sits at one path, so one codec per class serves."""
+    keys, names a bad field by its dotted path and sets the fields without
+    ``__init__``.  A nested dataclass sits at one path: one codec per class."""
+    if hasattr(cls, "__post_init__") or not all(f.init for f in fields(cls)):
+        raise TypeError(f"{cls.__name__} is not rebuilt by its fields alone")
     hints = get_type_hints(cls)
     spec = [(f.name, *_field_codec(hints[f.name], prefix + f.name))
             for f in fields(cls)]
@@ -439,18 +448,18 @@ def _codec(cls, prefix=""):
         return d
 
     def decode(d):
-        kwargs = {}
+        out = vars(obj := object.__new__(cls))  # the fields, no __init__
         for name, types, _, dec in spec:
             try:
                 v = d[name]
                 if type(v) not in types:
                     raise ValueError(v)
-                kwargs[name] = v if dec is None or v is None else dec(v)
+                out[name] = v if dec is None or v is None else dec(v)
             except KeyError:
                 raise SchemaError(f"missing field '{prefix}{name}'") from None
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"{prefix}{name} cannot be {v!r}") from None
-        return cls(**kwargs)
+        return obj
 
     _SCHEMA[cls] = encode, decode, {name: types for name, types, *_ in spec}
     return encode, decode

@@ -355,6 +355,9 @@ def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
     ("moduli", "kuranishi_dim", None,
      "line 3: missing field 'moduli.kuranishi_dim'"),
     ("", "chi_m", "1/0", "line 3: chi_m cannot be '1/0'"),
+    ("se", "verdict", "Maybe", "line 3: se.verdict cannot be 'Maybe'"),
+    ("se", "coprime_iff", "yes", "line 3: se.coprime_iff cannot be 'yes'"),
+    ("dim5_type", "kind", "Torus", "line 3: dim5_type.kind cannot be 'Torus'"),
 ])
 def test_collide_names_the_line_and_field_of_a_bad_record(
         tmp_path, capsys, part, field, value, message):

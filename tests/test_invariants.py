@@ -330,6 +330,30 @@ def test_ranks_only_callers_build_no_page_column(monkeypatch):
     assert pickle.loads(pickle.dumps(fresh)) == g  # pickles built columns
 
 
+@pytest.mark.parametrize("v", [(2, 3, 5, 7), (2, 5, 9, 11), (2, 5, 7, 13),
+                               (2, 3, 4, 16)])
+def test_page_reads_only_strata_that_reach_the_window(monkeypatch, v):
+    # a column of period T spans degrees within n - 1 of T*mu_P/d, so one
+    # meeting [-1, 1] has T <= n*d/|mu_P|; most strata of these links start
+    # past that, and the page walks none of their periods
+    from brieskorn import invariants
+
+    link = make_link(v)
+    t_hi = (len(v) - 1) * link.degree // abs(principal_index(link))
+    reachable = [s for s in link.strata if s.min_period <= t_hi]
+    assert 0 < 2 * len(reachable) < len(link.strata)
+    walked = []
+    stratum_periods = invariants._stratum_periods
+
+    def counting_stratum_periods(link, stratum, t_lo, t_hi):
+        walked.append(stratum)
+        return stratum_periods(link, stratum, t_lo, t_hi)
+
+    monkeypatch.setattr(invariants, "_stratum_periods", counting_stratum_periods)
+    assert sh_plus_ranks(link, 0, 0) == e1_page_by_blocks(link, 0, 0)
+    assert walked == reachable
+
+
 def test_page_vanishes_below_minimal_shift():
     for v in [(2, 3, 4, 16), (3, 3, 4, 7)]:
         link = make_link(v)

@@ -316,6 +316,56 @@ def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
         import_records(tmp_path / "bad.jsonl")
 
 
+@pytest.mark.parametrize("part, field, value", [
+    ("se", "verdict", "Maybe"), ("se", "coprime_iff", "yes"),
+    ("dim5_type", "kind", "Torus"),
+])
+def test_a_bad_enum_value_names_its_field(part, field, value):
+    d = tables.record_to_json_dict(build_record((2, 3, 4, 16)))
+    d[part][field] = value
+    with pytest.raises(SchemaError) as exc:
+        tables.record_from_json_dict(d)
+    assert str(exc.value) == f"{part}.{field} cannot be {value!r}"
+
+
+def test_jsonl_round_trip_rebuilds_constructor_objects(tmp_path):
+    # the reader fills each object's fields without __init__; what it gives
+    # back must be the object the constructor built, down to its hash
+    records = enumerate_links(5, 10)
+    export_records(records, tmp_path / "census.jsonl")
+    back = import_records(tmp_path / "census.jsonl")
+    assert len(back) == len(records) > 400
+    for rec, got in zip(records, back):
+        pairs = [(rec, got)] + [(getattr(rec, part), getattr(got, part))
+                                for part in ("se", "moduli", "dim5_type")]
+        for want, obj in pairs:
+            assert type(obj) is type(want)
+            assert obj == want and hash(obj) == hash(want)
+            assert list(vars(obj).items()) == list(vars(want).items())
+
+
+def test_codec_refuses_a_class_its_reader_would_not_rebuild():
+    from dataclasses import dataclass, field
+
+    @dataclass(frozen=True)
+    class Checked:
+        value: int
+
+        def __post_init__(self):
+            if self.value < 0:
+                raise ValueError(self.value)
+
+    @dataclass(frozen=True)
+    class Derived:
+        value: int
+        double: int = field(init=False)
+
+    for cls in (Checked, Derived):
+        with pytest.raises(TypeError, match="not rebuilt by its fields"):
+            tables._codec(cls)
+        assert cls not in tables._SCHEMA
+
+
 # The wire contract: the JSON types each field of a record is written and
 # read with, per object ("" is the record, the rest the objects it nests),
 # matched with type(), so a bool is no int.  The codec derives them from the
