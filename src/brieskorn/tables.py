@@ -441,7 +441,7 @@ def _codec(cls, prefix=""):
     converted = [(name, enc) for name, _, enc, _ in spec if enc is not None]
 
     def encode(obj):
-        d = vars(obj).copy()  # the fields, in order: __init__ sets just them
+        d = vars(obj).copy()  # the fields in order: all __init__ or decode set
         for name, enc in converted:
             if d[name] is not None:
                 d[name] = enc(d[name])
