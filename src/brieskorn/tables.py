@@ -639,33 +639,27 @@ def import_records(path, fmt=None):
 
 def _iter_imported(path, fmt=None):
     """The records of :func:`import_records`, read and checked one at a
-    time; the file is opened on the first read."""
+    time; the file is opened on the first read.  A line that is not UTF-8,
+    JSON nested past the parser's depth or a CSV cell past csv's field
+    limit raises SchemaError naming its line."""
     fmt = _format_of(path, fmt)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        lines = _utf8_lines(fh)
         if fmt == "csv":
-            reader = csv.reader(fh, _CensusCSV)
+            reader = csv.reader(lines, _CensusCSV)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError("empty CSV file (expected a header)") from None
-            if header != [name for name, _ in _CSV_COLUMNS]:
-                raise SchemaError(
-                    f"unexpected CSV header {';'.join(header)!r}"
-                )
-            for row in reader:
-                try:
-                    rec = _record_of_csv_row(row)
-                except SchemaError as exc:
-                    raise SchemaError(f"line {reader.line_num}: {exc}") from None
-                yield rec
+                yield from _csv_records(reader)
+            except csv.Error as exc:
+                raise SchemaError(f"line {reader.line_num}: {exc}") from None
         else:
-            for lineno, line in enumerate(fh, 1):
+            for lineno, line in enumerate(lines, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rec = record_from_json_dict(json.loads(line))
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise SchemaError(
                         f"line {lineno}: invalid JSON ({exc})"
                     ) from None
@@ -674,80 +668,80 @@ def _iter_imported(path, fmt=None):
                 yield rec
 
 
+def _utf8_lines(fh):
+    """The lines of ``fh``, a text stream opened with
+    errors="surrogateescape"; a byte that was not UTF-8 raises SchemaError
+    naming its line."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise SchemaError(
+                    f"line {lineno}: byte 0x{byte:02x} is not UTF-8"
+                ) from None
+        yield line
+
+
+def _csv_records(reader):
+    """The records of a census CSV ``reader``, header checked first."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty CSV file (expected a header)") from None
+    if header != [name for name, _ in _CSV_COLUMNS]:
+        raise SchemaError(f"unexpected CSV header {';'.join(header)!r}")
+    for row in reader:
+        try:
+            rec = _record_of_csv_row(row)
+        except SchemaError as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        yield rec
+
+
 # ---------------------------------------------------------------------------
 # record cache
 
 CACHE_ENV = "BRIESKORN_CACHE_DIR"
 
 
-def _cache_path(canonical, sig7, sh0):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    name = "-".join(str(a) for a in canonical) + "+sig7" * sig7 + "+sh0" * sh0
-    return os.path.join(root, f"v{__version__}", name + ".json")
-
-
-def _agrees_with_profile(rec, link, sig7, sh0):
-    """Whether a cached record is what :func:`build_record` gives the link
-    with these extras: the profile fields and chi_m, read off one strata
-    walk, the extras present, and a signature that fits Brieskorn's count.
-    With mu = prod(a_j - 1) and kappa the eigenvalue-one points, that is
-    |sig7| <= mu - kappa, sig7 = mu - kappa (mod 2), and 8 | sig7 on a
-    homotopy sphere."""
-    mu_p = principal_index(link)
-    kappa = link.strata[-1].middle_rank
-    free = math.prod(a - 1 for a in link.exponents) - kappa
-    s = rec.sig7
-    sig7_fits = s is None or (
-        type(s) is int and abs(s) <= free and (free - s) % 2 == 0
-        and (s % 8 == 0 or not is_homotopy_sphere(link))
-    )
-    return sig7_fits and (
-        rec.exponents, rec.dim, rec.degree, rec.weights, rec.recip_sum,
-        rec.mu_P, rec.middle_rank, rec.chi_m, s is not None,
-        rec.sh0_rank is not None,
-    ) == (
-        link.exponents, link.link_dim, link.degree, link.weights,
-        link.recip_sum, mu_p, kappa,
-        mean_euler(link).value if mu_p != 0 else None, sig7,
-        sh0 and mu_p != 0,
-    )
+def _sig7_fits(s, rec):
+    """Whether ``s`` can be the signature of ``rec``'s link by Brieskorn's
+    count: with mu = prod(a_j - 1) and kappa the middle rank, an int with
+    |s| <= mu - kappa, s = mu - kappa (mod 2), and 8 | s on a homotopy
+    sphere."""
+    free = math.prod(a - 1 for a in rec.exponents) - rec.middle_rank
+    return type(s) is int and abs(s) <= free and (free - s) % 2 == 0 and (
+        s % 8 == 0 or not rec.homotopy_sphere)
 
 
 def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
-    """build_record with one cache file per canonical vector, extras and
-    package version: ``v<version>/<canonical>[+sig7][+sh0].json``.
+    """build_record, with the dim-7 signature kept on disk under
+    BRIESKORN_CACHE_DIR: ``v<version>/<canonical>.json`` holds one integer.
 
-    Controlled by the BRIESKORN_CACHE_DIR environment variable; when unset,
-    this is exactly :func:`build_record`.  +sig7 means ``sig7_budget`` was
-    given for five exponents, +sh0 means ``with_sh0``, and the file holds
-    the canonical record with exactly those extras, so a call returns what
-    :func:`build_record` would, budget check included.  A hit is re-checked
-    by :func:`_agrees_with_profile`; a file that is malformed or disagrees
-    is a miss, rebuilt and rewritten atomically (temp file + rename).
+    Only a five-exponent call with ``sig7_budget`` reads the cache; every
+    other call, and every field but sig7, is :func:`build_record` of the
+    same link.  A hit is held to ``sig7_budget`` and re-checked by
+    :func:`_sig7_fits`; a file that will not read, decode or fit is a miss,
+    recomputed and rewritten atomically (temp file + rename).
     """
     link = make_link(exponents)
-    canon = link.canonical
-    sig7 = sig7_budget is not None and len(canon) == 5
-    path = _cache_path(canon, sig7, with_sh0)
-    if path is None:
+    root = os.environ.get(CACHE_ENV)
+    if not root or sig7_budget is None or len(link.exponents) != 5:
         return build_record(link, sig7_budget=sig7_budget, with_sh0=with_sh0)
-    if sig7:
-        _check_box(canon, sig7_budget)  # a hit is held to the budget too
-    # w_j = d / a_j, so the sorted exponents take the weights descending
-    w = tuple(sorted(link.weights, reverse=True))
-    canon_link = replace(link, exponents=canon, weights=w)
+    _check_box(link.exponents, sig7_budget)  # a hit is held to it too
+    rec = build_record(link, with_sh0=with_sh0)
+    name = "-".join(map(str, link.canonical)) + ".json"
+    path = os.path.join(root, f"v{__version__}", name)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rec = record_from_json_dict(json.load(fh))
-    except (OSError, SchemaError, json.JSONDecodeError):
-        rec = None
-    if rec is None or not _agrees_with_profile(rec, canon_link, sig7, with_sh0):
-        rec = build_record(canon_link, sig7_budget=sig7_budget, with_sh0=with_sh0)
+            sig7 = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        sig7 = None
+    if not _sig7_fits(sig7, rec):
+        sig7 = milnor_signature_dim7(link.exponents, budget=sig7_budget)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _replacing(path) as fh:
-            json.dump(record_to_json_dict(rec), fh)
-    if rec.exponents != link.exponents:
-        rec = replace(rec, exponents=link.exponents, weights=link.weights)
-    return rec
+            json.dump(sig7, fh)
+    return replace(rec, sig7=sig7)

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from brieskorn import build_record, import_records
+from brieskorn import __version__, build_record, import_records
 from brieskorn.cli import main
 
 
@@ -290,32 +291,50 @@ def test_analyze_stdout_does_not_depend_on_the_cache(tmp_path, capsys,
     assert (code, out) == (3, "")
 
 
+def test_analyze_keeps_one_signature_file_per_canonical_vector(
+        tmp_path, capsys, monkeypatch):
+    # only a five-exponent signature reaches the cache, one file per sorted
+    # vector, whatever the order and extras of the call
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(cache))
+    for argv in [("2,3,7,22", "--sh0"), ("2,3,5,7,4763",)]:
+        assert run_cli(capsys, "analyze", *argv)[0] == 0
+    assert not cache.exists()
+    for argv in [("5,2,2,3,2", "--sig7"), ("2,2,2,3,5", "--sig7", "--sh0")]:
+        assert run_cli(capsys, "analyze", *argv)[0] == 0
+    assert [p.relative_to(cache) for p in cache.rglob("*") if p.is_file()] == [
+        Path(f"v{__version__}", "2-2-2-3-5.json")
+    ]
+
+
 def test_analyze_rechecks_a_tampered_cache_file(tmp_path, capsys,
                                                 monkeypatch):
-    # a cache file whose chi_m disagrees with the link's strata is a miss:
-    # the record is rebuilt, printed with the true value and rewritten
+    # a stored signature that breaks Brieskorn's count (here its parity) is
+    # a miss: the signature is counted again, printed and rewritten
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    code, out, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
-    assert (code, json.loads(out)["chi_m"]) == (0, "77/10")
-    [path] = (tmp_path / "cache").rglob("2-3-7-22.json")
-    stored = json.loads(path.read_text())
-    assert stored["chi_m"] == "77/10"
-    path.write_text(json.dumps({**stored, "chi_m": "1/2"}))
-    code, again, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
+    code, out, _ = run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7", "--json")
+    assert (code, json.loads(out)["sig7"]) == (0, 8)
+    [path] = (tmp_path / "cache").rglob("2-2-2-3-5.json")
+    assert path.read_text() == "8"
+    path.write_text("9")
+    code, again, _ = run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7", "--json")
     assert (code, again) == (0, out)
-    assert json.loads(path.read_text())["chi_m"] == "77/10"
+    assert path.read_text() == "8"
 
 
-@pytest.mark.parametrize("chi_m", ["1/0", "abc"])
+@pytest.mark.parametrize("chi_m", ["1/0", "abc", b"\xff"])
 def test_analyze_rebuilds_a_cache_file_with_a_malformed_fraction(
         tmp_path, capsys, monkeypatch, chi_m):
+    # a signature file holding no JSON integer, here a fraction, a word or
+    # a byte that is not UTF-8, is a miss and is rewritten
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    code, out, _ = run_cli(capsys, "analyze", "2,3,7,22", "--json")
-    [path] = (tmp_path / "cache").rglob("2-3-7-22.json")
-    stored = json.loads(path.read_text())
-    path.write_text(json.dumps({**stored, "chi_m": chi_m}))
-    assert run_cli(capsys, "analyze", "2,3,7,22", "--json")[:2] == (0, out)
-    assert json.loads(path.read_text()) == stored
+    code, out, _ = run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7", "--json")
+    [path] = (tmp_path / "cache").rglob("2-2-2-3-5.json")
+    stored = path.read_bytes()
+    path.write_bytes(chi_m if type(chi_m) is bytes else chi_m.encode())
+    assert run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7",
+                   "--json")[:2] == (0, out)
+    assert path.read_bytes() == stored
 
 
 @pytest.mark.parametrize("fmt, chi_m", [
@@ -399,6 +418,27 @@ def test_collide_names_the_line_of_a_bad_csv_row(tmp_path, capsys, edit,
     code, out, err = run_cli(capsys, "collide", "--in", str(path))
     assert (code, out) == (2, "")
     assert f"brieskorn: error: {message}\n" in err
+
+
+@pytest.mark.parametrize("fmt, tail, message", [
+    ("jsonl", b"\xff\n", "line 3: byte 0xff is not UTF-8"),
+    ("csv", b"2,3,4,16\xff;\n", "line 4: byte 0xff is not UTF-8"),
+    ("jsonl", b"[" * 100_000 + b"\n", "line 3: invalid JSON ("),
+    ("csv", b"x" * 200_000 + b"\n",
+     "line 4: field larger than field limit (131072)"),
+], ids=["jsonl-not-utf8", "csv-not-utf8", "jsonl-too-deep",
+        "csv-huge-cell"])
+def test_collide_names_the_line_of_malformed_bytes(tmp_path, capsys, fmt,
+                                                   tail, message):
+    from brieskorn import export_records
+
+    path = tmp_path / f"in.{fmt}"
+    export_records([build_record(v) for v in [(2, 3, 7, 22), (3, 3, 4, 7)]],
+                   path)
+    path.write_bytes(path.read_bytes() + tail)
+    code, out, err = run_cli(capsys, "collide", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert f"brieskorn: error: {message}" in err
 
 
 def test_enumerate_out_names_the_path_given(tmp_path, capsys):

@@ -273,6 +273,25 @@ def test_csv_import_rejects_wrong_header(tmp_path):
         import_records(tmp_path / "empty.csv")
 
 
+@pytest.mark.parametrize("fmt, tail, message", [
+    ("jsonl", b"\xff\n", "line 5: byte 0xff is not UTF-8"),
+    ("csv", b"2,3,4,16\xff\n", "line 6: byte 0xff is not UTF-8"),
+    ("jsonl", b"[" * 100_000 + b"\n", "line 5: invalid JSON ("),
+    ("csv", b"x" * 200_000 + b"\n", "line 6: field larger than field limit"),
+], ids=["jsonl-not-utf8", "csv-not-utf8", "jsonl-too-deep",
+        "csv-huge-cell"])
+def test_import_names_the_line_of_malformed_bytes(tmp_path, sample_records,
+                                                  fmt, tail, message):
+    # bytes that are not UTF-8, JSON nested past the parser's depth and a
+    # cell past csv's field limit are schema errors, not tracebacks
+    path = tmp_path / f"bad.{fmt}"
+    export_records(sample_records, path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(SchemaError) as exc:
+        import_records(path)
+    assert str(exc.value).startswith(message)
+
+
 def test_jsonl_round_trip_carries_everything(tmp_path, sample_records):
     rec7 = build_record((2, 2, 2, 3, 5), sig7_budget=10**6, with_sh0=True)
     records = sample_records + [rec7]
@@ -478,30 +497,7 @@ def test_format_inference(tmp_path, sample_records):
 # ---------------------------------------------------------------------------
 # cache
 
-
-def test_cached_record_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    first = cached_record((16, 3, 2, 4))
-    assert first.exponents == (16, 3, 2, 4)
-    assert first.weights == (3, 16, 24, 12)
-    assert first.chi_m == Fraction(25, 14)
-    files = [
-        os.path.join(root, name)
-        for root, _, names in os.walk(tmp_path / "cache")
-        for name in names
-    ]
-    assert len(files) == 1 and files[0].endswith("2-3-4-16.json")
-    # cached copy stores the canonical record
-    with open(files[0]) as fh:
-        stored = json.load(fh)
-    assert stored["exponents"] == [2, 3, 4, 16]
-    # a call with an extra gets a file of its own; the plain file is kept
-    second = cached_record((2, 3, 4, 16), with_sh0=True)
-    assert second.sh0_rank == 0
-    with open(files[0]) as fh:
-        assert json.load(fh) == stored
-    with open(files[0].replace(".json", "+sh0.json")) as fh:
-        assert json.load(fh)["sh0_rank"] == second.sh0_rank
+SIG7 = {"sig7_budget": 10**6}
 
 
 def _cache_files(root):
@@ -512,49 +508,51 @@ def _cache_files(root):
     )
 
 
+def test_cached_record_round_trip(tmp_path, monkeypatch):
+    # the file holds the signature alone, named by the canonical vector; a
+    # hit reads it back instead of counting the lattice box again
+    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    counted = []
+    signature = tables.milnor_signature_dim7
+
+    def counting_signature(exponents, budget):
+        counted.append(tuple(exponents))
+        return signature(exponents, budget=budget)
+
+    monkeypatch.setattr(tables, "milnor_signature_dim7", counting_signature)
+    first = cached_record((5, 2, 2, 3, 2), **SIG7)
+    assert first.exponents == (5, 2, 2, 3, 2)
+    assert first.weights == (6, 15, 15, 10, 15)
+    assert first.sig7 == 8
+    [name] = _cache_files(tmp_path / "cache")
+    assert name == os.path.join(f"v{tables.__version__}", "2-2-2-3-5.json")
+    path = tmp_path / "cache" / name
+    assert path.read_text() == "8"
+    second = cached_record((2, 2, 2, 3, 5), **SIG7, with_sh0=True)
+    assert counted == [(5, 2, 2, 3, 2)]
+    assert path.read_text() == "8"
+    assert second == build_record((2, 2, 2, 3, 5), **SIG7, with_sh0=True)
+
+
 def test_cached_record_one_file_per_call(tmp_path, monkeypatch):
-    # each file holds exactly the canonical record its call builds, whatever
-    # the order the calls come in
+    # a call touches at most one file, that of its canonical vector, and
+    # only when it asks for a five-exponent signature
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    calls = [
-        ({"sig7_budget": 10**6, "with_sh0": True}, "+sig7+sh0"),
-        ({"with_sh0": True}, "+sh0"),
-        ({}, ""),
-        ({"sig7_budget": 10**6}, "+sig7"),
-    ]
-    for kwargs, _ in calls:
-        assert cached_record((5, 2, 2, 3, 2), **kwargs) == build_record(
-            (5, 2, 2, 3, 2), **kwargs
-        )
+    plain = [((2, 3, 4, 16), SIG7), ((2, 3, 4, 16), {"with_sh0": True}),
+             ((5, 2, 2, 3, 2), {}), ((5, 2, 2, 3, 2), {"with_sh0": True})]
+    for v, kwargs in plain:
+        assert cached_record(v, **kwargs) == build_record(v, **kwargs)
+    assert _cache_files(tmp_path / "cache") == []
+    signed = [((5, 2, 2, 3, 2), SIG7), ((2, 3, 5, 2, 2), SIG7),
+              ((2, 2, 2, 3, 5), {**SIG7, "with_sh0": True})]
+    for v, kwargs in signed:
+        assert cached_record(v, **kwargs) == build_record(v, **kwargs)
     version = f"v{tables.__version__}"
-    assert _cache_files(tmp_path / "cache") == sorted(
-        os.path.join(version, f"2-2-2-3-5{suffix}.json") for _, suffix in calls
-    )
-    for kwargs, suffix in calls:
-        path = tmp_path / "cache" / version / f"2-2-2-3-5{suffix}.json"
-        stored = json.loads(path.read_text())
-        assert stored == tables.record_to_json_dict(
-            build_record((2, 2, 2, 3, 5), **kwargs)
-        )
-    # sig7_budget names no file of its own below five exponents
-    cached_record((2, 3, 4, 16), sig7_budget=10**6)
-    assert os.path.join(version, "2-3-4-16.json") in _cache_files(
-        tmp_path / "cache"
-    )
-
-
-def test_cached_record_ignores_extras_it_did_not_ask_for(tmp_path,
-                                                         monkeypatch):
-    # a record carrying sig7 and sh0_rank at the plain name, as an older
-    # merging cache left it, is a miss for a plain call and is rewritten
-    monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    v = (2, 2, 2, 3, 5)
-    plain = cached_record(v)
-    [path] = (tmp_path / "cache").rglob("2-2-2-3-5.json")
-    full = build_record(v, sig7_budget=10**6, with_sh0=True)
-    path.write_text(json.dumps(tables.record_to_json_dict(full)))
-    assert cached_record(v) == plain == build_record(v)
-    assert json.loads(path.read_text()) == tables.record_to_json_dict(plain)
+    assert _cache_files(tmp_path / "cache") == [
+        os.path.join(version, "2-2-2-3-5.json")
+    ]
+    path = tmp_path / "cache" / version / "2-2-2-3-5.json"
+    assert json.loads(path.read_text()) == 8
 
 
 @pytest.mark.parametrize("v, sig7", [
@@ -569,11 +567,12 @@ def test_cached_record_ignores_extras_it_did_not_ask_for(tmp_path,
 ])
 def test_cached_record_rechecks_the_signature(tmp_path, monkeypatch, v, sig7):
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    rec = cached_record(v, sig7_budget=10**6)
-    [path] = (tmp_path / "cache").rglob("*+sig7.json")
+    rec = cached_record(v, **SIG7)
+    [path] = (tmp_path / "cache").rglob("*.json")
     stored = json.loads(path.read_text())
-    path.write_text(json.dumps({**stored, "sig7": sig7}))
-    assert cached_record(v, sig7_budget=10**6) == rec
+    assert stored == rec.sig7
+    path.write_text(json.dumps(sig7))
+    assert cached_record(v, **SIG7) == rec
     assert json.loads(path.read_text()) == stored
 
 
@@ -588,29 +587,31 @@ def test_cached_record_makes_one_link_per_call(tmp_path, monkeypatch):
 
     for module in (linkmodel, homology, invariants, einstein, tables):
         monkeypatch.setattr(module, "make_link", counting_make_link)
-    cold = cached_record((16, 3, 2, 4))  # miss: builds the canonical record
-    warm = cached_record((16, 3, 2, 4))  # hit: reads it back
-    assert calls == [(16, 3, 2, 4)] * 2
-    assert cold == warm == build_record((16, 3, 2, 4))
+    cold = cached_record((5, 2, 2, 3, 2), **SIG7)  # miss: counts the box
+    warm = cached_record((5, 2, 2, 3, 2), **SIG7)  # hit: reads sig7 back
+    assert calls == [(5, 2, 2, 3, 2)] * 2
+    assert cold == warm == build_record((5, 2, 2, 3, 2), **SIG7)
 
 
 def test_cached_record_survives_corruption(tmp_path, monkeypatch):
+    # a file that will not decode as JSON, or holds no int, is a miss and is
+    # rewritten with the signature
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
-    rec = cached_record((2, 3, 4, 16))
-    files = [
-        os.path.join(root, name)
-        for root, _, names in os.walk(tmp_path / "cache")
-        for name in names
-    ]
-    with open(files[0], "w") as fh:
-        fh.write("{ not json")
-    again = cached_record((2, 3, 4, 16))
-    assert again == rec
+    rec = cached_record((2, 2, 2, 3, 5), **SIG7)
+    [path] = (tmp_path / "cache").rglob("*.json")
+    for garbage in [b"{ not json", b"\xff", b"8\xff", b"[" * 100_000, b"",
+                    b"8.0", b"true", b'"8"', b"null", b'{"sig7": 8}']:
+        path.write_bytes(garbage)
+        assert cached_record((2, 2, 2, 3, 5), **SIG7) == rec, garbage
+        assert path.read_bytes() == b"8", garbage
 
 
 def test_cached_record_without_env_is_plain_build(monkeypatch):
     monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
     assert cached_record((2, 3, 4, 16)) == build_record((2, 3, 4, 16))
+    assert cached_record((5, 2, 2, 3, 2), **SIG7) == build_record(
+        (5, 2, 2, 3, 2), **SIG7
+    )
 
 
 @pytest.mark.parametrize("first", [
@@ -618,12 +619,12 @@ def test_cached_record_without_env_is_plain_build(monkeypatch):
     {"sig7_budget": 10**6, "with_sh0": True},
 ])
 def test_cached_record_hit_equals_build_record(tmp_path, monkeypatch, first):
-    # a hit returns what build_record returns for the same arguments, not
-    # the extras an earlier call stored in the cache file
+    # whatever an earlier call stored, a call returns what build_record
+    # returns for the same arguments, budget check included
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
     v = (5, 2, 2, 3, 2)
     assert cached_record(v, **first) == build_record(v, **first)
-    for kwargs in [{}, {"sig7_budget": 10**6}, {"with_sh0": True}]:
+    for kwargs in [{}, SIG7, {"with_sh0": True}, {**SIG7, "with_sh0": True}]:
         assert cached_record(v, **kwargs) == build_record(v, **kwargs), kwargs
     with pytest.raises(BudgetExceeded):
         build_record(v, sig7_budget=10)
