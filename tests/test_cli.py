@@ -322,16 +322,16 @@ def test_analyze_rechecks_a_tampered_cache_file(tmp_path, capsys,
     assert path.read_text() == "8"
 
 
-@pytest.mark.parametrize("chi_m", ["1/0", "abc", b"\xff"])
+@pytest.mark.parametrize("garbage", [b"1/0", b"abc", b"\xff"])
 def test_analyze_rebuilds_a_cache_file_with_a_malformed_fraction(
-        tmp_path, capsys, monkeypatch, chi_m):
+        tmp_path, capsys, monkeypatch, garbage):
     # a signature file holding no JSON integer, here a fraction, a word or
     # a byte that is not UTF-8, is a miss and is rewritten
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
     code, out, _ = run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7", "--json")
     [path] = (tmp_path / "cache").rglob("2-2-2-3-5.json")
     stored = path.read_bytes()
-    path.write_bytes(chi_m if type(chi_m) is bytes else chi_m.encode())
+    path.write_bytes(garbage)
     assert run_cli(capsys, "analyze", "2,2,2,3,5", "--sig7",
                    "--json")[:2] == (0, out)
     assert path.read_bytes() == stored
