@@ -39,10 +39,10 @@ from .tables import (
     _filter_records,
     _iter_imported,
     _iter_records,
+    _iter_sweep,
     _write_records,
     cached_record,
     export_records,
-    family_sweep,
     find_mec_collisions,
     parse_sweep_spec,
     record_to_csv_row,
@@ -210,7 +210,7 @@ def _cmd_se_check(args, out):
 
 def _cmd_sweep(args, out):
     spec = parse_sweep_spec(args.family, args.k_range)
-    rows = family_sweep(spec)
+    rows = _iter_sweep(spec)
     if args.csv:
         writer = _csv_writer(out, ["k"])
         for k, rec in rows:

@@ -16,12 +16,12 @@ used by the Morse-Bott spectral sequence is
 A parity fact: mu(T) = (n+1) - |I_T| (mod 2), hence shift(T) = n - 1
 (mod 2) for *every* stratum and cover of a link with n+1 exponents.  All
 strata therefore enter the mean Euler characteristic with the same sign
-(-1)^{n-1}.  The code computes signs per stratum anyway and treats a parity
-violation as an internal bug.  Note the parity of the *shifts* does not by
-itself make the first page lacunary: a stratum whose quotient has odd
-complex dimension and positive middle rank (e.g. the genus-15 curve
-quotient of the (7,7,7) stratum inside (2,7,7,7)) contributes classes at
-odd offsets from its shift, and such pages can support differentials.
+(-1)^{n-1}, which the code applies once to the sum.  Note the parity of
+the *shifts* does not by itself make the first page lacunary: a stratum
+whose quotient has odd complex dimension and positive middle rank (e.g.
+the genus-15 curve quotient of the (7,7,7) stratum inside (2,7,7,7))
+contributes classes at odd offsets from its shift, and such pages can
+support differentials.
 
 The mean Euler characteristic is
 
@@ -94,17 +94,13 @@ def _shift(link, size, total_period):
     """Grading shift mu(t) - (dim Sigma - 1)/2 at a period t with |I_t| = size.
 
     Inside I_t the floors are exact, so mu(t) = 2 * sum_j floor(t/a_j)
-    + #{j outside} - 2t, and (dim Sigma - 1)/2 = size - 2.
+    + #{j outside} - 2t, and (dim Sigma - 1)/2 = size - 2.  Hence
+    shift - (n+1) = 2(sum_j floor(t/a_j) - t - size + 1) is even: every
+    shift of a link with n+1 exponents has the parity of n + 1.
     """
     a = link.exponents
     t = total_period
-    mu = 2 * (sum(map(t.__floordiv__, a)) - t) + len(a) - size
-    shift = mu - size + 2
-    if (shift - len(a)) % 2:
-        raise InternalInconsistency(
-            f"shift parity violated at period {t} of {a}: shift {shift}"
-        )
-    return shift
+    return 2 * (sum(map(t.__floordiv__, a)) - t - size + 1) + len(a)
 
 
 def maslov_index(link, period, cover=1):
@@ -241,13 +237,14 @@ def mean_euler(link):
     """Mean Euler characteristic of the link's contact structure.
 
     Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
-    periods and divides by |mu_P|; E(S) = #{T <= d : I_T = S} is the
-    stratum's :func:`phi`, and chi^{S^1} comes from kappa(S), the sub-link's
-    middle Betti number.  Both are read off the profile's strata, from one
-    walk over the 2^(n+1) index subsets (past 2^18 BudgetExceeded is
-    raised).  Exact rational arithmetic.  Raises ZeroPrincipalIndex when
-    mu_P = 0 (the average does not converge to a finite period-independent
-    value).
+    periods and divides by |mu_P|.  Every shift has the parity of n + 1
+    (see :func:`_shift`), so the sign is applied once, to the sum.  E(S) =
+    #{T <= d : I_T = S} is the stratum's :func:`phi`, and chi^{S^1} comes
+    from kappa(S), the sub-link's middle Betti number.  Both are read off
+    the profile's strata, from one walk over the 2^(n+1) index subsets
+    (past 2^18 BudgetExceeded is raised).  Exact rational arithmetic.
+    Raises ZeroPrincipalIndex when mu_P = 0 (the average does not converge
+    to a finite period-independent value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -260,11 +257,11 @@ def mean_euler(link):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    numerator = 0
-    for s in link.strata:
-        size = len(s.exponents)
-        chi = s.period_count * _quotient_chi(size, s.middle_rank)
-        numerator += -chi if _shift(link, size, s.min_period) % 2 else chi
+    numerator = sum(s.period_count * _quotient_chi(len(s.exponents),
+                                                   s.middle_rank)
+                    for s in link.strata)
+    if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum
+        numerator = -numerator
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 
@@ -455,13 +452,12 @@ def mean_euler_from_ranks(link, strict=False):
     multiple of mu_P (even), so the sum is read off the first block's
     columns as sum (-1)^shift * chi.  Independent of :func:`mean_euler`
     (no phi counts), which makes the agreement of the two a strong
-    cross-check.  Every shift has the parity of n + 1, since
-    shift - (n+1) = 2(sum floor(T/a_j) - T) - 2|I| + 2, so the sum has one
-    term per stratum: chi with the sign at its minimal period, times the
-    periods T <= d it labels.  Those are counted by one sieve pass of
-    d/T_i bytes over the stratum's multiples, so the cost is sum d/T_i
-    bytes and slice steps, with no period spectrum built; past 2^24
-    BudgetExceeded is raised up front.
+    cross-check.  Every shift has the parity of n + 1 (see :func:`_shift`),
+    so the sum has one term per stratum, chi times the periods T <= d it
+    labels, and one sign, applied to the total.  The periods are counted
+    by one sieve pass of d/T_i bytes over the stratum's multiples, so the
+    cost is sum d/T_i bytes and slice steps, with no period spectrum
+    built; past 2^24 BudgetExceeded is raised up front.
 
     In the lacunary case the first-page ranks are the homology ranks, so
     this is literally the defining average.  When the page is not lacunary
@@ -480,19 +476,17 @@ def mean_euler_from_ranks(link, strict=False):
     Fraction(25, 14)
     """
     link = _as_link(link)
-    st = link.strata
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
     _check_spectrum_size(link, _MAX_PAGE_WORK)
-    alternating = 0
-    for s in st:
-        size = len(s.exponents)
-        count = _stratum_period_count(link, s)
-        chi = count * _quotient_chi(size, s.middle_rank)
-        alternating += -chi if _shift(link, size, s.min_period) % 2 else chi
+    alternating = sum(_stratum_period_count(link, s)
+                      * _quotient_chi(len(s.exponents), s.middle_rank)
+                      for s in link.strata)
+    if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum
+        alternating = -alternating
     width = abs(mu_p)
     if strict:
         n = len(link.exponents) - 1

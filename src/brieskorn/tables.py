@@ -112,44 +112,73 @@ def build_record(exponents, *, sig7_budget=None, with_sh0=False):
     sh0_rank is the degree-0 equivariant rank, computed when ``with_sh0``
     and mu_P != 0.
     """
-    link = _as_link(exponents)
-    if len(link.exponents) < 3:
+    return _build_records([exponents], sig7_budget=sig7_budget,
+                          with_sh0=with_sh0)[0]
+
+
+def _build_records(vectors, *, sig7_budget=None, with_sh0=False):
+    """The :func:`build_record` of each of the list ``vectors``, each
+    invariant computed over the whole list before the next: every profile,
+    then every principal index, and so on (see :data:`_WRITE_BATCH`)."""
+    links = [_as_link(v) for v in vectors]
+    sizes = [len(link.exponents) for link in links]
+    if any(n1 < 3 for n1 in sizes):
         raise DimensionTooLow(
             "records need at least three exponents; "
             "use the homology functions directly for smaller vectors"
         )
-    mu_p = principal_index(link)
-    chi_m = mean_euler(link).value if mu_p != 0 else None
-    n1 = len(link.exponents)
-    sphere = rhs = d5 = None
-    if n1 >= 4:
-        d5 = diffeo_type_dim5(link) if n1 == 4 else None
-        # the dim-5 classification's first branch is the homotopy-sphere test
-        sphere = d5.kind is Dim5Kind.SPHERE if d5 else is_homotopy_sphere(link)
-        rhs = is_rational_homology_sphere(link)
-    sig7 = None
-    if n1 == 5 and sig7_budget is not None:
-        sig7 = milnor_signature_dim7(link.exponents, budget=sig7_budget)
-    sh0 = None
-    if with_sh0 and mu_p != 0:
-        sh0 = sh_plus_ranks(link, 0, 0).ranks[0]
-    return LinkRecord(
-        exponents=link.exponents,
-        dim=link.link_dim,
-        degree=link.degree,
-        weights=link.weights,
-        recip_sum=link.recip_sum,
-        mu_P=mu_p,
-        chi_m=chi_m,
-        middle_rank=link.strata[-1].middle_rank,  # the principal stratum
-        homotopy_sphere=sphere,
-        rhs=rhs,
-        dim5_type=d5,
-        sig7=sig7,
-        se=se_status(link),
-        moduli=moduli_dimension(link),
-        sh0_rank=sh0,
-    )
+    mu_ps = [principal_index(link) for link in links]
+    chi_ms = [mean_euler(link).value if mu_p != 0 else None
+              for link, mu_p in zip(links, mu_ps)]
+    d5s = [diffeo_type_dim5(link) if n1 == 4 else None
+           for link, n1 in zip(links, sizes)]
+    # the dim-5 classification's first branch is the homotopy-sphere test
+    spheres = [d5.kind is Dim5Kind.SPHERE if d5 else
+               (is_homotopy_sphere(link) if n1 > 4 else None)
+               for link, n1, d5 in zip(links, sizes, d5s)]
+    rhss = [is_rational_homology_sphere(link) if n1 >= 4 else None
+            for link, n1 in zip(links, sizes)]
+    sig7s = [milnor_signature_dim7(link.exponents, budget=sig7_budget)
+             if n1 == 5 and sig7_budget is not None else None
+             for link, n1 in zip(links, sizes)]
+    sh0s = [sh_plus_ranks(link, 0, 0).ranks[0] if with_sh0 and mu_p != 0
+            else None for link, mu_p in zip(links, mu_ps)]
+    ses = [se_status(link) for link in links]
+    moduli = [moduli_dimension(link) for link in links]
+    return [
+        LinkRecord(
+            exponents=link.exponents,
+            dim=link.link_dim,
+            degree=link.degree,
+            weights=link.weights,
+            recip_sum=link.recip_sum,
+            mu_P=mu_p,
+            chi_m=chi_m,
+            middle_rank=link.strata[-1].middle_rank,  # the principal stratum
+            homotopy_sphere=sphere,
+            rhs=rhs,
+            dim5_type=d5,
+            sig7=sig7,
+            se=se,
+            moduli=mod,
+            sh0_rank=sh0,
+        )
+        for link, mu_p, chi_m, sphere, rhs, d5, sig7, se, mod, sh0 in zip(
+            links, mu_ps, chi_ms, spheres, rhss, d5s, sig7s, ses, moduli, sh0s)
+    ]
+
+
+def _records_of(vectors):
+    """The records of ``vectors``, read lazily and built a batch at a time by
+    :func:`_build_records`.  A batch that raises is rebuilt one vector at a
+    time, so the records before the failing vector are still yielded."""
+    vectors = iter(vectors)
+    while batch := list(islice(vectors, _WRITE_BATCH)):
+        try:
+            records = _build_records(batch)
+        except Exception:
+            records = map(build_record, batch)
+        yield from records
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +220,7 @@ def enumerate_links(dim, max_exponent, filters=()):
 
 
 def _iter_records(dim, max_exponent, filters=()):
-    """The records of :func:`enumerate_links`, built one at a time as they
+    """The records of :func:`enumerate_links`, built by batches as they
     are read.  The arguments are checked here, before the first record."""
     length = _length_for_dim(dim)
     if max_exponent < 2:
@@ -199,7 +228,7 @@ def _iter_records(dim, max_exponent, filters=()):
             f"max_exponent must be >= 2, got {max_exponent}"
         )
     vectors = combinations_with_replacement(range(2, max_exponent + 1), length)
-    return _filter_records(map(build_record, vectors), filters)
+    return _filter_records(_records_of(vectors), filters)
 
 
 def _filter_records(records, filters):
@@ -291,10 +320,16 @@ def family_sweep(spec):
 
     Raises InvalidInstance if any k realizes an exponent below 2.
     """
-    out = []
-    for k in range(spec.k_lo, spec.k_hi + 1):
-        out.append((k, build_record(spec.instantiate(k))))
-    return out
+    return list(_iter_sweep(spec))
+
+
+def _iter_sweep(spec):
+    """The pairs of :func:`family_sweep`, built by batches as they are read.
+    The instance at ``k_lo`` is checked first: the slot b + c*k has c >= 0,
+    so it is the first instance that can be invalid."""
+    spec.instantiate(spec.k_lo)
+    ks = range(spec.k_lo, spec.k_hi + 1)
+    return zip(ks, _records_of(map(spec.instantiate, ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +593,11 @@ def _csv_writer(fh, lead=()):
     return writer
 
 
-# Records are read and written in batches of this many.  Building and
-# writing them one at a time made `enumerate --out` ~5% slower than building
-# the whole census first; batches of 32 cut that to ~2% (10 alternating
-# perfbench census pairs each) and hold 32 records, not the census.
+# Records are built, read and written in batches of this many, so 32 records
+# are held, not the census.  Built and written one at a time, they made
+# `enumerate --out` ~5% slower than building the whole census first, and
+# batches of 32 cut that to ~2%.  Built layer by layer over each batch (see
+# _build_records), census first_p50_ms fell a further 19% (BENCH_18.json).
 _WRITE_BATCH = 32
 
 

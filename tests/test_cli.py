@@ -191,19 +191,20 @@ def test_enumerate_checks_its_arguments_before_any_output(tmp_path, capsys,
 
 
 def test_enumerate_that_fails_partway(tmp_path, capsys, monkeypatch):
-    # records are written in batches of 32 as they are built: stdout keeps
-    # all 39 rows built before the failure, while --out replaces its file
-    # only once the census is done
+    # records are built and written in batches of 32: stdout keeps all 39
+    # rows built before the failure, while --out replaces its file only
+    # once the census is done
     from brieskorn import BudgetExceeded, enumerate_links, tables
 
     built = enumerate_links(5, 6)[:39]
+    count = tables.moduli_dimension
 
-    def build_or_fail(v):
-        if v == (3, 3, 4, 4):  # the 40th vector
-            raise BudgetExceeded(f"no budget for {v}")
-        return build_record(v)
+    def count_or_fail(link):
+        if link.exponents == (3, 3, 4, 4):  # the 40th vector
+            raise BudgetExceeded(f"no budget for {link.exponents}")
+        return count(link)
 
-    monkeypatch.setattr(tables, "build_record", build_or_fail)
+    monkeypatch.setattr(tables, "moduli_dimension", count_or_fail)
     census = ("enumerate", "--dim", "5", "--max-exponent", "6")
     code, out, err = run_cli(capsys, *census, "--format", "jsonl")
     assert code == 3 and "budget exceeded" in err
@@ -215,6 +216,26 @@ def test_enumerate_that_fails_partway(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *census, "--out", str(path))[:2] == (3, "")
     assert path.read_text() == "an earlier census\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_sweep_that_fails_partway(capsys, monkeypatch):
+    # a sweep is built and printed in batches of 32 as it goes: stdout keeps
+    # the 39 rows before the instance that fails
+    from brieskorn import BudgetExceeded, tables
+
+    count = tables.moduli_dimension
+
+    def count_or_fail(link):
+        if link.exponents == (2, 3, 4, 4 + 12 * 39):  # k = 39, the 40th
+            raise BudgetExceeded(f"no budget for {link.exponents}")
+        return count(link)
+
+    monkeypatch.setattr(tables, "moduli_dimension", count_or_fail)
+    code, out, err = run_cli(capsys, "sweep", "2,3,4,4+12k", "0..45")
+    assert code == 3 and "budget exceeded" in err
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"k={k}" for k in range(39)
+    ]
 
 
 def test_enumerate_out_file_has_the_mode_open_gives(tmp_path, capsys):
@@ -498,7 +519,10 @@ def test_collide_no_collisions(tmp_path, capsys):
 def test_exit_code_validation(capsys):
     assert run_cli(capsys, "mec", "2,x,4")[0] == 2
     assert run_cli(capsys, "mec", "2,4,6,12")[0] == 2
-    assert run_cli(capsys, "sweep", "2,3,5,1+30k", "0..5")[0] == 2
+    # the invalid first instance is caught before any row or CSV header
+    for fmt in ((), ("--csv",)):
+        code, out, _ = run_cli(capsys, "sweep", "2,3,5,1+30k", "0..5", *fmt)
+        assert (code, out) == (2, "")
 
 
 def test_exit_code_budget(capsys):

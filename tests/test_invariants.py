@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -159,8 +160,10 @@ def test_principal_index_values():
 
 
 def test_shift_parity_is_uniform():
-    # shift = n - 1 (mod 2) for every stratum at its minimal period
-    for v in [(2, 3, 4, 16), (3, 3, 4, 7), (2, 2, 2, 3, 5), (2, 4, 6, 14, 86, 5)]:
+    # shift = n - 1 (mod 2) for every stratum at its minimal period: every
+    # 4-multiset of 2..12 and a few longer vectors
+    for v in [*combinations_with_replacement(range(2, 13), 4),
+              (2, 3, 4, 16), (2, 2, 2, 3, 5), (2, 4, 6, 14, 86, 5)]:
         link = make_link(v)
         n = len(v) - 1
         for s in strata(link):
@@ -272,6 +275,33 @@ def test_mean_euler_against_full_spectrum_sum():
             sign = -1 if rep.shift % 2 else 1
             total += sign * chi_s1(stratum.exponents)
         assert Fraction(total, abs(mu_p)) == mean_euler(link).value, v
+
+
+def mean_euler_by_signed_strata(vec):
+    """Reference mean Euler characteristic: each stratum's term E(S) * chi
+    signed by its own shift at its minimal period, the form the one-sign
+    sums of mean_euler and mean_euler_from_ranks are checked against."""
+    link = make_link(vec)
+    a = link.exponents
+    total = 0
+    for s in strata(link):
+        t, size = s.min_period, len(s.exponents)
+        mu = 2 * (sum(t // aj for aj in a) - t) + len(a) - size
+        chi = s.period_count * chi_s1(s.exponents)
+        total += -chi if (mu - size + 2) % 2 else chi
+    return Fraction(total, abs(principal_index(link)))
+
+
+@pytest.mark.parametrize("top,length", [(18, 4), (10, 5)])
+def test_one_sign_sums_match_the_signed_strata_reference(top, length):
+    # every 4-multiset of 2..18 and 5-multiset of 2..10 with mu_P != 0
+    for v in combinations_with_replacement(range(2, top + 1), length):
+        link = make_link(v)
+        if principal_index(link) == 0:
+            continue
+        expected = mean_euler_by_signed_strata(v)
+        assert mean_euler(link).value == expected, v
+        assert mean_euler_from_ranks(link).value == expected, v
 
 
 # ---------------------------------------------------------------------------

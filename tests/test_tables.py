@@ -5,6 +5,7 @@ import os
 import stat
 import threading
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -71,6 +72,19 @@ def test_build_record_constructs_one_link_profile(monkeypatch, v, kwargs):
     rec = build_record(v, **kwargs)
     assert built == [v]
     assert rec.sig7 == (8 if kwargs else None)
+
+
+def test_build_records_equals_build_record_per_vector():
+    # the batch builder computes each invariant over the whole batch: the
+    # first 300 census vectors, then a mix of lengths with both extras
+    census = list(islice(combinations_with_replacement(range(2, 19), 4), 300))
+    assert tables._build_records(census) == [build_record(v) for v in census]
+    mixed = [(2, 3, 5), (2, 2, 2, 3, 5), (2, 3, 4, 16), (2, 4, 6, 12),
+             (3, 3, 3, 4, 4), (2, 4, 4), (2, 3, 7, 22), (2, 2, 2, 2, 2)]
+    extras = {"sig7_budget": 10**6, "with_sh0": True}
+    assert tables._build_records(mixed, **extras) == [
+        build_record(v, **extras) for v in mixed
+    ]
 
 
 def test_build_record_zero_index_has_no_chi_m():
