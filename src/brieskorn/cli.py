@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -374,7 +375,9 @@ def main(argv=None):
         if not args.infile and None in census:
             parser.error("collide needs --in PATH or both --dim and --max-exponent")
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except ValidationError as exc:
         print(f"brieskorn: error: {exc}", file=sys.stderr)
         return 2
@@ -385,6 +388,13 @@ def main(argv=None):
         print(f"brieskorn: internal inconsistency (bug): {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and not getattr(args, "out", None):
+            # only --out writes elsewhere: stdout's reader stopped early,
+            # which is no error, and the rest goes to devnull, not to exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
         print(f"brieskorn: i/o error: {exc}", file=sys.stderr)
         return 1
 

@@ -369,12 +369,13 @@ def find_mec_collisions(records, window=(0, 0)):
     for rec in records:
         if rec.chi_m is not None:
             chi_of.setdefault(rec.canonical, rec.chi_m)
-    groups = {}
+    groups = {}  # (numerator, denominator) -> [first chi_m read, *canons]
     for canon, chi_m in chi_of.items():
-        groups.setdefault(chi_m, []).append(canon)
-    out = []
-    for chi_m in sorted(k for k, canons in groups.items() if len(canons) > 1):
-        members = sorted(groups[chi_m])
+        key = chi_m.numerator, chi_m.denominator
+        groups.setdefault(key, [chi_m]).append(canon)
+    out = []  # groups sort by their chi_m, which no two share
+    for chi_m, *members in sorted(g for g in groups.values() if len(g) > 2):
+        members.sort()
         clusters = {}
         for canon in members:
             gr = sh_plus_ranks(make_link(canon), k_lo, k_hi)
@@ -426,9 +427,20 @@ def record_to_csv_row(rec):
 
 
 def _int_tuple(items):
-    if any(type(a) is not int for a in items):
+    if not set(map(type, items)) <= {int}:
         raise ValueError(items)
     return tuple(items)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?").fullmatch
+
+
+def _fraction(text):
+    """Fraction(text), built from two ints for an ASCII integer or p/q."""
+    if _RATIONAL(text) is None:
+        return Fraction(text)
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
 
 
 class _Members(dict):
@@ -450,7 +462,7 @@ def _field_codec(tp, where):
     if is_dataclass(tp):
         return (dict,), *_codec(tp, where + ".")
     if tp is Fraction:
-        return (str,), str, Fraction
+        return (str,), str, _fraction
     if issubclass(tp, Enum):  # a {value: member} table, made once
         members = _Members((m.value, m) for m in tp)
         return (str,), attrgetter("value"), members.__getitem__

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -614,3 +615,37 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_a_reader_that_closes_stdout_early_is_no_error():
+    # `enumerate ... | head -n 2`: the closed pipe ends the run quietly,
+    # exit 0, with nothing on stderr but the banner and no traceback at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brieskorn.cli", "enumerate", "--dim", "5",
+         "--max-exponent", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert lines[0].startswith("exponents;")
+    assert lines[1].startswith("2,2,2,2;")
+    assert err == f"brieskorn {__version__}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_out_fifo_whose_reader_closes_is_an_io_error(tmp_path):
+    fifo = tmp_path / "census.jsonl"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brieskorn.cli", "enumerate", "--dim", "5",
+         "--max-exponent", "30", "--out", str(fifo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    with open(fifo, "rb") as fh:
+        assert fh.read(100)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert out == ""
+    assert "brieskorn: i/o error: [Errno 32] Broken pipe" in err

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
@@ -27,7 +28,8 @@ from brieskorn import (
     parse_sweep_spec,
 )
 from brieskorn import einstein, homology, invariants, linkmodel, tables
-from brieskorn.linkmodel import LinkProfile
+from brieskorn.invariants import sh_plus_ranks
+from brieskorn.linkmodel import LinkProfile, make_link
 from brieskorn.tables import CSV_HEADER
 
 
@@ -240,6 +242,59 @@ def test_collision_scan_groups_unsplit_members_together():
     assert members == ((2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 3, 5))
 
 
+def test_collision_scan_groups_equal_values_however_built():
+    # equal chi_m built differently land in one group, whose chi_m is the
+    # first one read (an int reads like the equal Fraction)
+    def rec(v, chi_m):
+        return replace(build_record(v), chi_m=chi_m)
+
+    one = 1
+    first = Fraction(154, 20)
+    groups = find_mec_collisions([
+        rec((2, 2, 2, 2), one), rec((2, 2, 2, 4), Fraction(1)),
+        rec((2, 3, 7, 22), first), rec((3, 3, 4, 7), Fraction("77/10")),
+    ])
+    assert [g.members for g in groups] == [
+        ((2, 2, 2, 2), (2, 2, 2, 4)), ((2, 3, 7, 22), (3, 3, 4, 7)),
+    ]
+    assert groups[0].chi_m is one and groups[1].chi_m is first
+
+
+def mec_groups_by_fraction(lines, window=(0, 0)):
+    """The collision groups of JSON-lines text keyed by the Fraction itself,
+    each chi_m read by Fraction(text): the reference for the scan."""
+    chi_of = {}
+    for line in lines:
+        d = json.loads(line)
+        if d["chi_m"] is not None:
+            chi_of.setdefault(tuple(sorted(d["exponents"])), Fraction(d["chi_m"]))
+    groups = {}
+    for canon, chi_m in chi_of.items():
+        groups.setdefault(chi_m, []).append(canon)
+    out = []
+    for chi_m in sorted(k for k, canons in groups.items() if len(canons) > 1):
+        members = sorted(groups[chi_m])
+        clusters = {}
+        for canon in members:
+            ranks = sh_plus_ranks(make_link(canon), *window).ranks
+            key = tuple(ranks[k] for k in range(window[0], window[1] + 1))
+            clusters.setdefault(key, []).append(canon)
+        out.append((chi_m, tuple(members),
+                    tuple((k, tuple(clusters[k])) for k in sorted(clusters))))
+    return out
+
+
+def test_collision_scan_of_the_census_file_equals_the_fraction_keyed_reference(
+        tmp_path):
+    path = tmp_path / "census.jsonl"
+    export_records(enumerate_links(5, 18), path)
+    groups = find_mec_collisions(import_records(path))
+    assert len(groups) > 100
+    assert [(g.chi_m, g.members, g.clusters) for g in groups] == (
+        mec_groups_by_fraction(path.read_text().splitlines())
+    )
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -330,6 +385,60 @@ def test_malformed_fractions_are_schema_errors(tmp_path, chi_m):
     (tmp_path / "bad.csv").write_text(f"{head}\n{';'.join(cells)}\n")
     with pytest.raises(SchemaError):
         import_records(tmp_path / "bad.csv")
+
+
+HUGE_NUMERATOR = "7" * 4301 + "/3"  # past int()'s default digit limit
+FRACTION_CORPUS = [
+    # integers and p/q in ASCII digits, which _fraction builds from two ints
+    "77/10", "154/20", "-0", "-12/4", "0/5", "007/010", HUGE_NUMERATOR,
+    # other spellings Fraction reads
+    "+3/4", " 3/4", "3/4 ", "3 /4", "7.7", "1e3", "1_000/3", "١/٢",
+    # spellings Fraction refuses
+    "", "-", "--5", "/5", "5/", "5/-3", "1/0", "0/0",
+]
+
+
+def read_or_raise(read, text):
+    try:
+        value = read(text)
+    except Exception as exc:
+        return type(exc)
+    return type(value), value.numerator, value.denominator
+
+
+@pytest.mark.parametrize("text", FRACTION_CORPUS)
+def test_fraction_reads_each_string_as_fraction_does(text):
+    assert read_or_raise(tables._fraction, text) == read_or_raise(Fraction, text)
+
+
+@pytest.mark.parametrize("field", ["chi_m", "recip_sum"])
+def test_jsonl_fraction_fields_read_every_spelling_as_fraction_does(tmp_path,
+                                                                    field):
+    # L(2,3,7,22): recip_sum = 236/231, chi_m = 77/10
+    good = tables.record_to_json_dict(build_record((2, 3, 7, 22)))
+    value = Fraction(good[field])
+    p, q = value.numerator, value.denominator
+    arabic_indic = str.maketrans("0123456789",
+                                 "".join(map(chr, range(0x660, 0x66A))))
+    accepted = [f"{p}/{q}", f"{2 * p}/{2 * q}", f"00{p}/0{q}", f"+{p}/{q}",
+                f" {p}/{q} ", f"{p}/{q}".translate(arabic_indic)]
+    if q == 10:
+        accepted += ["7.7", "77e-1", "7_7/1_0"]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps({**good, field: spelled}) + "\n"
+                            for spelled in accepted))
+    back = [getattr(rec, field) for rec in import_records(path)]
+    assert back == [Fraction(spelled) for spelled in accepted]
+    assert back == [value] * len(accepted)
+    assert all(type(v) is Fraction for v in back)
+    rejected = ["", "-", "--5", "/5", "5/", "5/-3", "1/0", "0/0", "3 /4",
+                HUGE_NUMERATOR]
+    for spelled in rejected:
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, field: spelled}) + "\n")
+        with pytest.raises(SchemaError) as exc:
+            import_records(path)
+        assert str(exc.value) == f"line 2: {field} cannot be {spelled!r}"
 
 
 @pytest.mark.parametrize("part, field, value", [
