@@ -36,20 +36,14 @@ has h^0(O(w_i)) = 1, the monomial z_i alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
-from .errors import (
-    BudgetExceeded,
-    DimensionTooLow,
-    InternalInconsistency,
-    PreconditionFailed,
-)
+from .errors import DimensionTooLow, InternalInconsistency
 from . import homology
 from .homology import _lattice_halves
-from .linkmodel import _as_link, make_link, sylvester_sequence
+# make_link: the doctests call it, perfbench's self-test reads it here
+from .linkmodel import _as_link, make_link  # noqa: F401
 
 __all__ = [
     "SEVerdict",
@@ -59,11 +53,8 @@ __all__ = [
     "se_coprime_iff",
     "lichnerowicz_obstructed",
     "se_status",
-    "count_weighted_monomials",
-    "count_perturbation_monomials",
     "ModuliReport",
     "moduli_dimension",
-    "sylvester_numerator",
 ]
 
 
@@ -215,57 +206,6 @@ def se_status(link):
     )
 
 
-# Most cells, len(weights) * (degree + 1), of count_weighted_monomials's
-# table.  Under a 1 GiB address-space cap at this bound, (1, 1) with degree
-# 2^24 - 1 peaks at 0.64 GiB in 5.2 s (per cell, two weights hold the most;
-# one, three and eight 1s peak at 0.52, 0.60 and 0.24 GiB), and (1, 1) with
-# degree 2^25 fails with MemoryError.
-_MAX_DP_CELLS = 1 << 25
-
-
-def count_weighted_monomials(weights, degree):
-    """Number of monomials of weighted degree ``degree``: the coefficient
-    count #{ b : sum b_j w_j = degree } = h^0 of O(degree) on the weighted
-    projective space CP(w).  A table of more than 2^25 cells,
-    len(weights) * (degree + 1), raises BudgetExceeded before it is built.
-
-    >>> count_weighted_monomials((33, 22, 6, 6), 66)
-    14
-    >>> count_weighted_monomials((1, 1), 3)
-    4
-    """
-    weights = tuple(weights)
-    if not weights:
-        raise PreconditionFailed("need at least one weight")
-    for w in weights:
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise PreconditionFailed(f"weight {w!r} must be an integer >= 1")
-    if degree < 0:
-        raise PreconditionFailed(f"degree must be >= 0, got {degree}")
-    if len(weights) * (degree + 1) > _MAX_DP_CELLS:
-        raise BudgetExceeded(f"monomial-count table over {_MAX_DP_CELLS} cells")
-    table = [1] + [0] * degree  # table[m] = #{ b : sum b_j w_j = m }
-    for w in weights:
-        for amount in range(w, degree + 1):
-            table[amount] += table[amount - w]
-    return table[degree]
-
-
-def count_perturbation_monomials(link):
-    """Number of monomials z^b of weighted degree d with 0 <= b_j < a_j.
-
-    These are the perturbations of the defining polynomial that stay inside
-    the same weighted-homogeneous family with isolated singularity (each
-    variable's exponent stays below its own a_j), met in the middle.
-
-    >>> count_perturbation_monomials(make_link((2, 3, 11, 11)))
-    10
-    >>> count_perturbation_monomials(make_link((2, 3, 5, 7)))
-    0
-    """
-    return _monomial_counts(_as_link(link))[0]
-
-
 def _monomial_counts(link):
     """(perturbations, sum_i h^0(O(w_i))) from one kernel call over the
     stride-pruned box (see :func:`moduli_dimension`); only sums s <= max(w)
@@ -356,43 +296,3 @@ def moduli_dimension(link):
         kuranishi_dim=kuranishi,
         perturbation_count=perturbations,
     )
-
-
-def sylvester_numerator(n, a):
-    """Numerator chi_m * |mu_P| of the mean Euler characteristic of the
-    Sylvester link (2, 2c_0, ..., 2c_n, a), summed over its stratum table.
-
-    For S a subset of {0..n}, a tail stratum {2, a} + {2c_j : j in S} has
-    E = prod_{j not in S}(c_j - 1) and chi = |S| + 1; every other stratum is
-    {2} + {2c_j : j in S} with S non-empty, E = (a - 1) prod_{j not in S}
-    (c_j - 1) and chi = |S| + (|S| mod 2).  Every shift has the sign
-    (-1)^(n+1), so the numerator is
-
-        (-1)^(n+1) sum_S prod_{j not in S}(c_j - 1)
-                         * [(|S| + 1) + (a - 1)(|S| + |S| mod 2)],
-
-    which equals (-1)^(n+1) ((3P - 1) a + P) with P = (c_{n+1} - 1)/2, and
-    mean_euler * |mu_P| of the link.
-
-    Preconditions: n >= 0 and a >= 2 coprime to c_0..c_n.  Such an a is
-    odd, so mu_P = 2(2(c_{n+1} - 1) - a) is never zero.
-
-    >>> sylvester_numerator(1, 5)
-    43
-    """
-    if n < 0:
-        raise PreconditionFailed("need n >= 0")
-    cs = sylvester_sequence(n + 1)
-    if a < 2:
-        raise PreconditionFailed(f"tail exponent {a} is below 2")
-    for c in cs:
-        if math.gcd(a, c) != 1:
-            raise PreconditionFailed(
-                f"tail exponent {a} shares a factor with sylvester term {c}"
-            )
-    total = 0
-    for size in range(n + 2):
-        for subset in combinations(range(n + 1), size):
-            outside = math.prod(c - 1 for j, c in enumerate(cs) if j not in subset)
-            total += outside * (size + 1 + (a - 1) * (size + size % 2))
-    return (-1) ** (n + 1) * total

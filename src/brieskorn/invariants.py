@@ -29,7 +29,7 @@ The mean Euler characteristic is
 
 summed over strata at their minimal periods, where mu_P is the index of the
 principal orbit and phi_i counts how many periods below the principal one
-belong to stratum i (the function :func:`phi`).
+belong to stratum i (``Stratum.period_count``).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "IndexReport",
     "maslov_index",
     "principal_index",
-    "phi",
     "MeanEuler",
     "mean_euler",
     "PageColumn",
@@ -158,72 +157,7 @@ def principal_index(link):
     14
     """
     link = _as_link(link)
-    mu = 2 * (sum(link.weights) - link.degree)
-    if mu % 2:
-        raise InternalInconsistency(f"principal index {mu} is odd")
-    return mu
-
-
-def phi(period, exclusions, principal_period):
-    """Count multiples of ``period`` below ``principal_period`` avoiding all
-    ``exclusions``.
-
-        phi(T_i; T_{i+1}, ..., T_k) =
-            #{ a >= 1 : a*T_i < T_k, a*T_i not in T_j*N for any j > i }
-
-    with the convention phi(T_k; empty) = 1 for the principal period itself.
-    In the mean-Euler formula the exclusions are the strictly larger strata
-    minimal periods, so phi counts the spectrum entries that are labeled by
-    this stratum rather than a bigger one.
-
-    Implemented by inclusion-exclusion over the lcm lattice (with the
-    exclusion list reduced to divisibility-minimal elements and branches
-    pruned once the running lcm reaches the principal period), so it stays
-    fast when the principal period is large.
-
-    >>> phi(4, [12, 16, 48], 48)
-    6
-    >>> phi(48, [], 48)
-    1
-    """
-    if period < 1:
-        raise PreconditionFailed(f"period must be >= 1, got {period}")
-    if principal_period % period:
-        raise PreconditionFailed(
-            f"{period} does not divide the principal period {principal_period}"
-        )
-    for e in exclusions:
-        if e < 1:
-            raise PreconditionFailed(f"exclusion {e} must be >= 1")
-    if period == principal_period:
-        return 1
-    limit = principal_period - 1
-    # Join each exclusion against the base period; keep divisibility-minimal
-    # representatives below the cap (multiples of a larger join are a subset).
-    joins = sorted(
-        {
-            math.lcm(period, e)
-            for e in exclusions
-            if math.lcm(period, e) <= limit
-        }
-    )
-    minimal = []
-    for j in joins:
-        if not any(j % m == 0 for m in minimal):
-            minimal.append(j)
-
-    total = limit // period
-
-    def union(start, running, sign):
-        acc = 0
-        for k in range(start, len(minimal)):
-            l = math.lcm(running, minimal[k])
-            if l > limit:
-                continue
-            acc += sign * (limit // l) + union(k + 1, l, -sign)
-        return acc
-
-    return total - union(0, 1, 1)
+    return 2 * (sum(link.weights) - link.degree)
 
 
 @dataclass(frozen=True)
@@ -239,7 +173,7 @@ def mean_euler(link):
     Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
     periods and divides by |mu_P|.  Every shift has the parity of n + 1
     (see :func:`_shift`), so the sign is applied once, to the sum.  E(S) =
-    #{T <= d : I_T = S} is the stratum's :func:`phi`, and chi^{S^1} comes
+    #{T <= d : I_T = S} is ``Stratum.period_count``, and chi^{S^1} comes
     from kappa(S), the sub-link's middle Betti number.  Both are read off
     the profile's strata, from one walk over the 2^(n+1) index subsets
     (past 2^18 BudgetExceeded is raised).  Exact rational arithmetic.

@@ -21,7 +21,7 @@ its minimal period lcm{ a_j : j in I_T }.
 >>> lk = make_link((2, 3, 4, 16))
 >>> lk.degree, lk.weights
 (48, (24, 16, 12, 3))
->>> [ (s.min_period, s.exponents) for s in strata(lk) ]
+>>> [ (s.min_period, s.exponents) for s in lk.strata ]
 [(4, (2, 4)), (6, (2, 3)), (12, (2, 3, 4)), (16, (2, 4, 16)), (48, (2, 3, 4, 16))]
 """
 
@@ -47,7 +47,6 @@ __all__ = [
     "canonical_exponents",
     "make_link",
     "index_set",
-    "strata",
     "period_spectrum",
     "sylvester_sequence",
     "sylvester_links",
@@ -167,7 +166,8 @@ class LinkProfile:
 
     @cached_property
     def strata(self):
-        """The :class:`Stratum` tuple of :func:`_lattice_strata`."""
+        """The :class:`Stratum` tuple of :func:`_lattice_strata`, sorted by
+        minimal period; no two strata share one, as I_T depends on T alone."""
         return _lattice_strata(self)
 
 
@@ -237,7 +237,6 @@ class Stratum(NamedTuple):
         period spectrum exactly at the multiples of this
     dim : 2*|I_T| - 3, the real dimension of the sub-link
     period_count : E(S) = #{1 <= T <= d : I_T = S}, the periods it labels
-        (its :func:`~brieskorn.invariants.phi`)
     middle_rank : kappa(S), the sub-link's middle Betti number
     """
 
@@ -342,18 +341,6 @@ def _lattice_strata(link):
     ]
     out.sort(key=itemgetter(2))  # by min_period
     return tuple(out)
-
-
-def strata(link):
-    """All strata of the Reeb flow, sorted by minimal period.
-
-    They are the index sets S, |S| >= 2, with S = I_T for some T <= d, each
-    at its minimal period lcm{a_j : j in S}, with its period count E(S) and
-    middle rank kappa(S); see :func:`_lattice_strata`.  The last is the
-    principal stratum (the whole link, at period d).  Distinct strata never
-    share a minimal period, because I_T is a function of T alone.
-    """
-    return _as_link(link).strata
 
 
 @dataclass(frozen=True)

@@ -526,7 +526,15 @@ def record_from_json_dict(d):
     wrote; a field of another JSON type or value raises SchemaError."""
     if type(d) is not dict:
         raise SchemaError(f"a record is a JSON object, not {d!r}")
-    return _SCHEMA[LinkRecord][1](d)
+    rec = _SCHEMA[LinkRecord][1](d)
+    _check_read_exponents(rec.exponents)
+    return rec
+
+
+def _check_read_exponents(exponents):
+    """Raise SchemaError unless there are three or more exponents, all >= 2."""
+    if len(exponents) < 3 or min(exponents) < 2:
+        raise SchemaError(f"exponents cannot be {list(exponents)!r}")
 
 
 def _format_of(path, fmt):
@@ -652,6 +660,7 @@ def _record_of_csv_row(row):
         exponents = parse_exponents(row[0])
     except InvalidExponent:
         raise SchemaError(f"bad exponents cell {row[0]!r}") from None
+    _check_read_exponents(exponents)
     rec = build_record(exponents, with_sh0=bool(row[11]))
     fresh = record_to_csv_row(rec)
     for (name, _), stored, computed in zip(_CSV_COLUMNS, row, fresh):

@@ -1,0 +1,161 @@
+"""Reference forms of invariants the package computes along another path.
+
+The paper writes each invariant in more than one form.  The package keeps
+one code path per invariant; the other forms live here, as the references
+the tests compare it against:
+
+* :func:`phi`, the inclusion-exclusion count of a stratum's periods, which
+  the package reads off the stratum table as ``Stratum.period_count``;
+* :func:`count_weighted_monomials`, the dynamic-programming count of
+  h^0(O(d)), which the package answers by meeting in the middle
+  (``moduli_dimension``);
+* :func:`sylvester_numerator`, the closed-form chi_m * |mu_P| of the
+  Sylvester links, which the package sums over the stratum table
+  (``mean_euler``).
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+
+from brieskorn.errors import BudgetExceeded, PreconditionFailed
+from brieskorn.linkmodel import sylvester_sequence
+
+
+def phi(period, exclusions, principal_period):
+    """Count multiples of ``period`` below ``principal_period`` avoiding all
+    ``exclusions``.
+
+        phi(T_i; T_{i+1}, ..., T_k) =
+            #{ a >= 1 : a*T_i < T_k, a*T_i not in T_j*N for any j > i }
+
+    with the convention phi(T_k; empty) = 1 for the principal period itself.
+    In the mean-Euler formula the exclusions are the strictly larger strata
+    minimal periods, so phi counts the spectrum entries that are labeled by
+    this stratum rather than a bigger one.
+
+    Implemented by inclusion-exclusion over the lcm lattice (with the
+    exclusion list reduced to divisibility-minimal elements and branches
+    pruned once the running lcm reaches the principal period), so it stays
+    fast when the principal period is large.
+
+    >>> phi(4, [12, 16, 48], 48)
+    6
+    >>> phi(48, [], 48)
+    1
+    """
+    if period < 1:
+        raise PreconditionFailed(f"period must be >= 1, got {period}")
+    if principal_period % period:
+        raise PreconditionFailed(
+            f"{period} does not divide the principal period {principal_period}"
+        )
+    for e in exclusions:
+        if e < 1:
+            raise PreconditionFailed(f"exclusion {e} must be >= 1")
+    if period == principal_period:
+        return 1
+    limit = principal_period - 1
+    # Join each exclusion against the base period; keep divisibility-minimal
+    # representatives below the cap (multiples of a larger join are a subset).
+    joins = sorted(
+        {
+            math.lcm(period, e)
+            for e in exclusions
+            if math.lcm(period, e) <= limit
+        }
+    )
+    minimal = []
+    for j in joins:
+        if not any(j % m == 0 for m in minimal):
+            minimal.append(j)
+
+    total = limit // period
+
+    def union(start, running, sign):
+        acc = 0
+        for k in range(start, len(minimal)):
+            l = math.lcm(running, minimal[k])
+            if l > limit:
+                continue
+            acc += sign * (limit // l) + union(k + 1, l, -sign)
+        return acc
+
+    return total - union(0, 1, 1)
+
+
+# Most cells, len(weights) * (degree + 1), of count_weighted_monomials's
+# table.  Under a 1 GiB address-space cap at this bound, (1, 1) with degree
+# 2^24 - 1 peaks at 0.64 GiB in 5.2 s (per cell, two weights hold the most;
+# one, three and eight 1s peak at 0.52, 0.60 and 0.24 GiB), and (1, 1) with
+# degree 2^25 fails with MemoryError.
+_MAX_DP_CELLS = 1 << 25
+
+
+def count_weighted_monomials(weights, degree):
+    """Number of monomials of weighted degree ``degree``: the coefficient
+    count #{ b : sum b_j w_j = degree } = h^0 of O(degree) on the weighted
+    projective space CP(w).  A table of more than 2^25 cells,
+    len(weights) * (degree + 1), raises BudgetExceeded before it is built.
+
+    >>> count_weighted_monomials((33, 22, 6, 6), 66)
+    14
+    >>> count_weighted_monomials((1, 1), 3)
+    4
+    """
+    weights = tuple(weights)
+    if not weights:
+        raise PreconditionFailed("need at least one weight")
+    for w in weights:
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+            raise PreconditionFailed(f"weight {w!r} must be an integer >= 1")
+    if degree < 0:
+        raise PreconditionFailed(f"degree must be >= 0, got {degree}")
+    if len(weights) * (degree + 1) > _MAX_DP_CELLS:
+        raise BudgetExceeded(f"monomial-count table over {_MAX_DP_CELLS} cells")
+    table = [1] + [0] * degree  # table[m] = #{ b : sum b_j w_j = m }
+    for w in weights:
+        for amount in range(w, degree + 1):
+            table[amount] += table[amount - w]
+    return table[degree]
+
+
+def sylvester_numerator(n, a):
+    """Numerator chi_m * |mu_P| of the mean Euler characteristic of the
+    Sylvester link (2, 2c_0, ..., 2c_n, a), summed over its stratum table.
+
+    For S a subset of {0..n}, a tail stratum {2, a} + {2c_j : j in S} has
+    E = prod_{j not in S}(c_j - 1) and chi = |S| + 1; every other stratum is
+    {2} + {2c_j : j in S} with S non-empty, E = (a - 1) prod_{j not in S}
+    (c_j - 1) and chi = |S| + (|S| mod 2).  Every shift has the sign
+    (-1)^(n+1), so the numerator is
+
+        (-1)^(n+1) sum_S prod_{j not in S}(c_j - 1)
+                         * [(|S| + 1) + (a - 1)(|S| + |S| mod 2)],
+
+    which equals (-1)^(n+1) ((3P - 1) a + P) with P = (c_{n+1} - 1)/2, and
+    mean_euler * |mu_P| of the link.
+
+    Preconditions: n >= 0 and a >= 2 coprime to c_0..c_n.  Such an a is
+    odd, so mu_P = 2(2(c_{n+1} - 1) - a) is never zero.
+
+    >>> sylvester_numerator(1, 5)
+    43
+    """
+    if n < 0:
+        raise PreconditionFailed("need n >= 0")
+    cs = sylvester_sequence(n + 1)
+    if a < 2:
+        raise PreconditionFailed(f"tail exponent {a} is below 2")
+    for c in cs:
+        if math.gcd(a, c) != 1:
+            raise PreconditionFailed(
+                f"tail exponent {a} shares a factor with sylvester term {c}"
+            )
+    total = 0
+    for size in range(n + 2):
+        for subset in combinations(range(n + 1), size):
+            outside = math.prod(c - 1 for j, c in enumerate(cs) if j not in subset)
+            total += outside * (size + 1 + (a - 1) * (size + size % 2))
+    return (-1) ** (n + 1) * total

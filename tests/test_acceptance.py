@@ -16,7 +16,6 @@ import pytest
 
 from brieskorn import (
     chi_s1,
-    count_weighted_monomials,
     enumerate_links,
     family_sweep,
     make_link,
@@ -27,14 +26,12 @@ from brieskorn import (
     moduli_dimension,
     parse_sweep_spec,
     period_spectrum,
-    phi,
     principal_index,
     se_status,
     sh_plus_ranks,
-    strata,
     sylvester_links,
-    sylvester_numerator,
 )
+from oracles import count_weighted_monomials, phi, sylvester_numerator
 
 # (family spec, k range, chi_m numerator b + c*k, denominator b + c*k)
 # The denominator always equals the principal index mu_P of the instance.
@@ -80,7 +77,7 @@ def test_criterion_01_m3_transposed_denominator_variant():
 def test_criterion_02_worked_example_decomposition():
     t0 = time.monotonic()
     link = make_link((2, 3, 4, 16))
-    layers = strata(link)
+    layers = link.strata
     mins = sorted(s.min_period for s in layers)
     decomposition = {}
     for s in layers:

@@ -376,7 +376,7 @@ def test_collide_rejects_a_malformed_fraction(tmp_path, capsys, fmt, chi_m):
 @pytest.mark.parametrize("field, value", [
     ("mu_P", "77"), ("mu_P", 77.0), ("exponents", [2, "3", 7, 22]),
     ("sig7", "8"), ("degree", 30.5), ("homotopy_sphere", "no"),
-    ("middle_rank", True),
+    ("middle_rank", True), ("exponents", [1, 0]), ("exponents", []),
 ])
 def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
                                                    value):
@@ -396,6 +396,8 @@ def test_collide_rejects_a_field_of_the_wrong_type(tmp_path, capsys, field,
     ("moduli", "kuranishi_dim", None,
      "line 3: missing field 'moduli.kuranishi_dim'"),
     ("", "chi_m", "1/0", "line 3: chi_m cannot be '1/0'"),
+    ("", "exponents", [1, 0], "line 3: exponents cannot be [1, 0]"),
+    ("", "exponents", [2, 3], "line 3: exponents cannot be [2, 3]"),
     ("se", "verdict", "Maybe", "line 3: se.verdict cannot be 'Maybe'"),
     ("se", "coprime_iff", "yes", "line 3: se.coprime_iff cannot be 'yes'"),
     ("dim5_type", "kind", "Torus", "line 3: dim5_type.kind cannot be 'Torus'"),
@@ -424,6 +426,8 @@ def test_collide_names_the_line_and_field_of_a_bad_record(
 
 @pytest.mark.parametrize("edit, message", [
     (lambda row: row + ";x", "line 6: row has 13 cells, expected 12"),
+    (lambda row: "1,0" + row[7:], "line 6: exponents cannot be [1, 0]"),
+    (lambda row: "2,3" + row[7:], "line 6: exponents cannot be [2, 3]"),
     (lambda row: row.replace("3/2", "1/2"),
      "line 6: column 'chi_m' of '2,2,3,3': stored '1/2' disagrees with "
      "recomputed '3/2'"),

@@ -15,8 +15,6 @@ from brieskorn import (
     PreconditionFailed,
     SEReport,
     SEVerdict,
-    count_perturbation_monomials,
-    count_weighted_monomials,
     lichnerowicz_obstructed,
     make_link,
     mean_euler,
@@ -25,10 +23,10 @@ from brieskorn import (
     se_coprime_iff,
     se_status,
     se_sufficient,
-    sylvester_numerator,
 )
 from brieskorn import einstein, homology
 from brieskorn.tables import record_to_json_dict
+from oracles import count_weighted_monomials, sylvester_numerator
 
 
 def test_sufficient_inequalities():
@@ -156,10 +154,10 @@ def test_count_weighted_monomials_refuses_a_huge_table_up_front():
 
 
 def test_count_perturbation_monomials():
-    assert count_perturbation_monomials(make_link((2, 3, 11, 11))) == 10
-    assert count_perturbation_monomials(make_link((2, 3, 5, 7))) == 0
+    assert moduli_dimension(make_link((2, 3, 11, 11))).perturbation_count == 10
+    assert moduli_dimension(make_link((2, 3, 5, 7))).perturbation_count == 0
     # (2,2,2,2): b in {0,1}^4 with sum of weights 1+1+1+1 reaching d = 2
-    assert count_perturbation_monomials(make_link((2, 2, 2, 2))) == 6
+    assert moduli_dimension(make_link((2, 2, 2, 2))).perturbation_count == 6
 
 
 def test_count_perturbation_monomials_prunes_at_target():
@@ -167,10 +165,9 @@ def test_count_perturbation_monomials_prunes_at_target():
     # (the 12 compositions with one part equal to 30 are excluded).  The box
     # has 30^12 points, but no partial sum above 30 is ever kept.
     link = make_link((30,) * 12)
-    assert count_perturbation_monomials(link) == math.comb(41, 11) - 12
-    assert moduli_dimension(link).h0_degree == count_weighted_monomials(
-        (1,) * 12, 30
-    )
+    report = moduli_dimension(link)
+    assert report.perturbation_count == math.comb(41, 11) - 12
+    assert report.h0_degree == count_weighted_monomials((1,) * 12, 30)
 
 
 def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
@@ -191,8 +188,7 @@ def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
     monkeypatch.setattr(einstein, "_lattice_halves", spy)
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 50)
     assert moduli_dimension(link) == report
-    assert count_perturbation_monomials(link) == report.perturbation_count
-    assert walked == [True, True]
+    assert walked == [True]
 
 
 def seeded_moduli_vectors(count=40, seed=11, pool=range(2, 25)):

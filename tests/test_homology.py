@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -120,6 +121,15 @@ def test_middle_betti_known_values():
     assert middle_betti((2, 2, 2, 2)) == 1
     assert middle_betti((3, 3, 3, 3)) == 6
     assert middle_betti((2, 3, 4, 16)) == 0
+
+
+@pytest.mark.parametrize("function", [middle_betti, quotient_betti])
+def test_middle_betti_refuses_too_many_subsets_up_front(function):
+    # 2^19 subsets: refused before the inclusion-exclusion walk starts
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        function((3,) * 19)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (2, 4), (6, 9), (5, 7), (12, 18)])

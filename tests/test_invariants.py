@@ -26,12 +26,11 @@ from brieskorn import (
     mean_euler,
     mean_euler_from_ranks,
     period_spectrum,
-    phi,
     principal_index,
     quotient_betti,
     sh_plus_ranks,
-    strata,
 )
+from oracles import phi
 
 
 def phi_by_scan(period, exclusions, principal_period):
@@ -51,7 +50,7 @@ def e1_page_by_blocks(link, k_lo, k_hi):
     then translate the block by (d, mu_P) until the window is passed."""
     a = link.exponents
     mu_p = principal_index(link)
-    betti = {s: quotient_betti(s.exponents).ranks for s in strata(link)}
+    betti = {s: quotient_betti(s.exponents).ranks for s in link.strata}
     entries = []
     for t, s in period_spectrum(link).entries:
         assert index_set(link, t) == s.index_set
@@ -101,7 +100,7 @@ def e1_page_by_blocks(link, k_lo, k_hi):
 
 def stratum_exclusions(link):
     """Map each stratum to the minimal periods of its strict superstrata."""
-    ss = strata(link)
+    ss = link.strata
     out = {}
     for s in ss:
         out[s] = tuple(
@@ -166,7 +165,7 @@ def test_shift_parity_is_uniform():
               (2, 3, 4, 16), (2, 2, 2, 3, 5), (2, 4, 6, 14, 86, 5)]:
         link = make_link(v)
         n = len(v) - 1
-        for s in strata(link):
+        for s in link.strata:
             rep = maslov_index(link, s.min_period)
             assert rep.shift % 2 == (n - 1) % 2, (v, s.exponents)
 
@@ -284,7 +283,7 @@ def mean_euler_by_signed_strata(vec):
     link = make_link(vec)
     a = link.exponents
     total = 0
-    for s in strata(link):
+    for s in link.strata:
         t, size = s.min_period, len(s.exponents)
         mu = 2 * (sum(t // aj for aj in a) - t) + len(a) - size
         chi = s.period_count * chi_s1(s.exponents)
@@ -388,7 +387,7 @@ def test_page_vanishes_below_minimal_shift():
     for v in [(2, 3, 4, 16), (3, 3, 4, 7)]:
         link = make_link(v)
         min_shift = min(
-            maslov_index(link, s.min_period).shift for s in strata(link)
+            maslov_index(link, s.min_period).shift for s in link.strata
         )
         g = e1_page(link, min_shift - 6, min_shift - 1)
         assert all(r == 0 for r in g.ranks.values()), v
@@ -476,7 +475,7 @@ def _oracle_windows(link):
     """Windows below the first block, straddling it, and well past it."""
     mu_p = principal_index(link)
     shifts = [
-        maslov_index(link, s.min_period).shift for s in strata(link)
+        maslov_index(link, s.min_period).shift for s in link.strata
     ]
     low, high = min(shifts), max(shifts) + 2 * len(link.exponents)
     far = 7 * mu_p + (high if mu_p > 0 else low)

@@ -19,7 +19,6 @@ from brieskorn import (
     middle_betti,
     parse_exponents,
     period_spectrum,
-    strata,
     sylvester_links,
     sylvester_sequence,
 )
@@ -112,7 +111,7 @@ def test_index_set():
 
 def test_strata_of_worked_example():
     link = make_link((2, 3, 4, 16))
-    by_period = {s.min_period: s for s in strata(link)}
+    by_period = {s.min_period: s for s in link.strata}
     assert set(by_period) == {4, 6, 12, 16, 48}
     assert by_period[4].exponents == (2, 4)
     assert by_period[6].exponents == (2, 3)
@@ -128,14 +127,14 @@ def test_strata_periods_are_distinct():
     # I_T is a function of T, so two strata can never share a period
     for v in [(2, 3, 4, 16), (2, 2, 3, 3), (2, 7, 7, 7), (2, 2, 2, 3, 5),
               (6, 10, 15), (2, 4, 6, 14, 86, 5)]:
-        periods = [s.min_period for s in strata(make_link(v))]
+        periods = [s.min_period for s in make_link(v).strata]
         assert len(periods) == len(set(periods)), v
 
 
 def test_strata_index_sets_are_closed():
     # each stratum's index set equals I at its own minimal period
     link = make_link((2, 2, 3, 8))
-    for s in strata(link):
+    for s in link.strata:
         assert s.index_set == index_set(link, s.min_period)
         assert s.min_period == math.lcm(*(link.exponents[j] for j in s.index_set))
 
@@ -163,26 +162,27 @@ def test_strata_match_the_closure_reference():
     ]
     for v in vectors:
         link = make_link(v)
-        assert strata(link) == strata_by_closure(link), v
+        assert link.strata == strata_by_closure(link), v
 
 
 def test_lattice_shapes_are_kept_for_small_arities_only():
-    strata(make_link((2, 3, 4, 6, 8, 9, 12)))
+    make_link((2, 3, 4, 6, 8, 9, 12)).strata
     assert 7 in linkmodel._LATTICE_SHAPES
-    strata(make_link((2, 3, 4, 6, 8, 9, 12, 2, 3)))
+    make_link((2, 3, 4, 6, 8, 9, 12, 2, 3)).strata
     assert 9 not in linkmodel._LATTICE_SHAPES
     assert max(linkmodel._LATTICE_SHAPES) <= 8
 
 
 def test_strata_and_spectrum_accept_an_exponent_vector():
     link = make_link((2, 3, 4, 16))
-    assert strata((2, 3, 4, 16)) == strata(link)
-    assert period_spectrum((2, 3, 4, 16)) == period_spectrum(link)
+    spec = period_spectrum((2, 3, 4, 16))
+    assert spec == period_spectrum(link)
+    assert {s for _, s in spec.entries} == set(link.strata)
 
 
 def test_strata_need_three_exponents():
     with pytest.raises(DimensionTooLow):
-        strata(make_link((2, 3)))
+        make_link((2, 3)).strata
 
 
 def test_period_spectrum_worked_example():

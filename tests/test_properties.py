@@ -22,8 +22,6 @@ from hypothesis import given, settings, strategies as st
 from brieskorn import (
     BudgetExceeded,
     chi_s1,
-    count_perturbation_monomials,
-    count_weighted_monomials,
     e1_page,
     is_homotopy_sphere,
     is_rational_homology_sphere,
@@ -35,16 +33,15 @@ from brieskorn import (
     milnor_signature_dim7,
     moduli_dimension,
     period_spectrum,
-    phi,
     principal_index,
     quotient_betti,
     se_status,
     sh_plus_ranks,
-    strata,
     sylvester_sequence,
 )
 from brieskorn.homology import _quotient_chi
 from brieskorn.linkmodel import _lattice_strata, _stratum_period_count
+from oracles import count_weighted_monomials, phi
 from test_einstein import SHARED_PRIME_POWERS, se_status_by_fractions
 from test_homology import sig_by_fractions
 from test_invariants import e1_page_by_blocks
@@ -92,7 +89,7 @@ def test_principal_index_parity_and_sign(vec):
 @given(exponent_vectors)
 def test_phi_matches_brute_scan(vec):
     link = make_link(vec)
-    layers = strata(link)
+    layers = link.strata
     mins = sorted(s.min_period for s in layers)
     total = 0
     for s in layers:
@@ -118,7 +115,7 @@ def test_lattice_count_is_phi_and_the_spectrum_count(vec):
     # entries; the spectrum is listed only while it stays small
     link = make_link(vec)
     rows = _lattice_strata(link)
-    assert rows == strata(link)
+    assert rows == link.strata
     periods = [s.min_period for s in rows]
     assert periods == sorted(periods)
     for k, s in enumerate(rows):
@@ -140,7 +137,7 @@ def test_sieve_count_is_the_lattice_count(vec):
     # multiples; small exponents make repeats, so strata of several sizes
     link = make_link(vec)
     sieved = {
-        s.index_set: _stratum_period_count(link, s) for s in strata(link)
+        s.index_set: _stratum_period_count(link, s) for s in link.strata
     }
     assert sieved == {s.index_set: s.period_count for s in link.strata}
     if sum(link.degree // s.min_period for s in link.strata) <= 200_000:
@@ -323,7 +320,7 @@ def test_perturbation_count_matches_brute_force(vec):
         for b in itertools.product(*(range(a) for a in vec))
         if sum(bj * wj for bj, wj in zip(b, link.weights)) == link.degree
     )
-    assert count_perturbation_monomials(link) == brute
+    assert moduli_dimension(link).perturbation_count == brute
 
 
 @SETTINGS

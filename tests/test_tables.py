@@ -333,6 +333,21 @@ def test_csv_import_cross_checks_cells(tmp_path, sample_records):
         import_records(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize("cell, shown", [
+    ("1,0", [1, 0]), ("2,3", [2, 3]), ("2,2,1,2", [2, 2, 1, 2]),
+])
+def test_csv_import_re_checks_the_exponents(tmp_path, sample_records, cell,
+                                            shown):
+    path = tmp_path / "bad.csv"
+    export_records(sample_records, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = cell + lines[2][lines[2].index(";"):]
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError) as exc:
+        import_records(path)
+    assert str(exc.value) == f"line 3: exponents cannot be {shown!r}"
+
+
 def test_csv_import_rejects_wrong_header(tmp_path):
     (tmp_path / "bad.csv").write_text("exponents;dim\n")
     with pytest.raises(SchemaError):
@@ -445,6 +460,7 @@ def test_jsonl_fraction_fields_read_every_spelling_as_fraction_does(tmp_path,
     ("", "sig7", "8"), ("", "degree", 30.5), ("", "homotopy_sphere", "no"),
     ("", "dim", True), ("", "weights", [30, 30, 30, 20, 12.0]),
     ("", "chi_m", 5), ("se", "positivity", 1), ("moduli", "kuranishi_dim", None),
+    ("", "exponents", [1, 0]), ("", "exponents", []), ("", "exponents", [2, 3]),
 ])
 def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
     rec = build_record((2, 2, 2, 3, 5), sig7_budget=10**6)
