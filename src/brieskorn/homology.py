@@ -306,14 +306,22 @@ def diffeo_type_dim5(exponents):
     return Dim5Type(kind=Dim5Kind.UNCLASSIFIED, middle_rank=kappa)
 
 
-# Most keys in one {partial sum: count} dict of the kernel (about 100 MB).
+# Most keys in one {partial sum: count} dict of the kernel (about 100 MB),
+# and most (key, axis point) steps one half may take (a few seconds).
 _MAX_HALF_KEYS = 1 << 20
+_MAX_HALF_WORK = 1 << 24
 
 
 def _half_sums(axes, modulus, top):
-    """{sum of x_j * step_j over the axes (mod modulus), below top: count}."""
-    sums = {0: 1}
+    """{sum of x_j * step_j over the axes (mod modulus), below top: count}.
+    Each axis costs its length times the keys so far; past _MAX_HALF_WORK
+    of those steps in all, BudgetExceeded is raised before the axis."""
+    sums, work = {0: 1}, 0
     for w, rng in axes:
+        work += len(sums) * len(rng)
+        if work > _MAX_HALF_WORK:
+            raise BudgetExceeded(f"lattice half-sums need {work} steps, "
+                                 f"over {_MAX_HALF_WORK}")
         nxt = {}
         get, lo, hi, step = nxt.get, rng.start * w, rng.stop * w, rng.step * w
         for s, count in sums.items():

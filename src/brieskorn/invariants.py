@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import starmap, takewhile
+from itertools import compress, starmap, takewhile
 
 from .errors import (
     BudgetExceeded,
@@ -51,8 +51,7 @@ from .errors import (
 from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
-    _check_spectrum_size,
-    _stratum_period_count,
+    _period_work,
     _stratum_periods,
     index_set,
     make_link,
@@ -308,9 +307,7 @@ def e1_page(link, k_lo, k_hi):
         lo, hi = hi, lo
     t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
     st = tuple(takewhile(lambda s: s.min_period <= t_hi, st))
-    work = k_hi - k_lo + 1 + sum(
-        max(0, t_hi // s.min_period - (t_lo - 1) // s.min_period) for s in st
-    )
+    work = k_hi - k_lo + 1 + _period_work(st, t_lo, t_hi)
     if work > _MAX_PAGE_WORK:
         raise BudgetExceeded(
             f"first page of {link.exponents} in degrees [{k_lo}, {k_hi}] "
@@ -322,7 +319,7 @@ def e1_page(link, k_lo, k_hi):
         size = len(s.exponents)
         span = 2 * size - 4
         betti = None
-        for t in _stratum_periods(link, s, t_lo, t_hi):
+        for t in compress(*_stratum_periods(link, s, t_lo, t_hi)):
             shift = _shift(link, size, t)
             if shift > hi_m or shift + span < lo_m:
                 continue
@@ -415,8 +412,11 @@ def mean_euler_from_ranks(link, strict=False):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    _check_spectrum_size(link, _MAX_PAGE_WORK)
-    alternating = sum(_stratum_period_count(link, s)
+    work = _period_work(link.strata, 1, link.degree)
+    if work > _MAX_PAGE_WORK:
+        raise BudgetExceeded(f"rank average of {link.exponents} sieves "
+                             f"{work} periods, over {_MAX_PAGE_WORK}")
+    alternating = sum(_stratum_periods(link, s, 1, link.degree)[1].count(1)
                       * _quotient_chi(len(s.exponents), s.middle_rank)
                       for s in link.strata)
     if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum

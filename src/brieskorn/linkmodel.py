@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -358,49 +358,38 @@ class PeriodSpectrum:
 
 
 def _stratum_periods(link, stratum, start, stop):
-    """The periods in [start, stop] labelled by ``stratum``, in order.
+    """The periods in [start, stop] labelled by ``stratum`` S, as a pair:
+    the range of multiples k * p of its minimal period p there, and a
+    bytearray holding, per multiple, 1 when no exponent outside S divides
+    it (for those, and only those, I_T is S's index set) and 0 otherwise.
+    ``itertools.compress`` of the pair walks them in order; ``count(1)`` of
+    the bytearray counts them.
 
-    They are the multiples of its minimal period that no exponent outside
-    the stratum divides: for those, and only those, I_T is its index set.
-    """
-    outside = [
-        a for j, a in enumerate(link.exponents) if j not in stratum.index_set
-    ]
-    p = stratum.min_period
-    return (
-        t
-        for t in range(-(-start // p) * p, stop + 1, p)
-        if 0 not in map(t.__mod__, outside)
-    )
-
-
-def _stratum_period_count(link, stratum):
-    """#{1 <= T <= d : I_T = S}, the periods labelled by ``stratum`` S.
-
-    A sieve over the multiples T = k * p of its minimal period p: an
-    exponent a outside S divides k * p exactly when a / gcd(a, p) divides
-    k, so one bytearray of d/p + 1 marks takes every such step's multiples
-    by slice assignment, and the unmarked k are counted.
+    A sieve: the exponents outside S are those that do not divide p, as S
+    is I_p, and such an a divides k * p exactly when a / gcd(a, p) divides
+    k, so each clears its multiples by one slice assignment.  The work is
+    one byte per candidate period.
     """
     p = stratum.min_period
-    size = link.degree // p
-    marks = bytearray(size + 1)
-    for j, a in enumerate(link.exponents):
-        if j not in stratum.index_set:
+    first = -(-start // p)
+    periods = range(first * p, stop + 1, p)
+    n = len(periods)
+    keep = bytearray(b"\x01") * n
+    for a in link.exponents:
+        if p % a:
             step = a // math.gcd(a, p)
-            marks[step::step] = b"\x01" * (size // step)
-    return size - marks.count(1)
+            i = -first % step  # k = first + i is the first multiple of step
+            keep[i::step] = b"\x00" * ((n - 1 - i) // step + 1)
+    return periods, keep
 
 
-def _check_spectrum_size(link, bound):
-    """Raise BudgetExceeded when the link's strata have more than ``bound``
-    candidate periods, sum d/T_i (an upper bound on the spectrum's size)."""
-    work = sum(link.degree // s.min_period for s in link.strata)
-    if work > bound:
-        raise BudgetExceeded(
-            f"period spectrum of {link.exponents} has up to {work} entries, "
-            f"over {bound}"
-        )
+def _period_work(strata, start, stop):
+    """Candidate periods in [start, stop] over ``strata``, the multiples of
+    their minimal periods there: :func:`_stratum_periods` sieves one byte
+    per candidate, and every walk checks this against its bound first."""
+    before = start - 1  # each term is <= 0 when stop < start
+    return max(0, sum(stop // s.min_period - before // s.min_period
+                      for s in strata))
 
 
 # Most candidate periods, sum d/T_i, the spectrum may hold.  An entry costs
@@ -423,10 +412,14 @@ def period_spectrum(link):
     """
     link = _as_link(link)
     d = link.degree
-    _check_spectrum_size(link, _MAX_SPECTRUM_ENTRIES)
-    entries = [
-        (t, s) for s in link.strata for t in _stratum_periods(link, s, 1, d)
-    ]
+    work = _period_work(link.strata, 1, d)
+    if work > _MAX_SPECTRUM_ENTRIES:
+        raise BudgetExceeded(
+            f"period spectrum of {link.exponents} has up to {work} entries, "
+            f"over {_MAX_SPECTRUM_ENTRIES}"
+        )
+    entries = [(t, s) for s in link.strata
+               for t in compress(*_stratum_periods(link, s, 1, d))]
     entries.sort(key=lambda e: e[0])
     return PeriodSpectrum(entries=tuple(entries), principal_period=d)
 

@@ -556,7 +556,7 @@ def export_records(records, path, fmt=None):
     """Write records to ``path`` as semicolon CSV or JSON-lines and return
     how many were written.
 
-    ``records`` is any iterable, written in batches as it is read (see
+    ``records`` is any iterable, each written as it is read (see
     :func:`_write_records`).  The file appears
     whole or not at all: the records go to a temporary file beside
     ``path``, which replaces ``path`` only once the last one is written, so
@@ -613,42 +613,32 @@ def _csv_writer(fh, lead=()):
     return writer
 
 
-# Records are built, read and written in batches of this many, so 32 records
-# are held, not the census.  Built and written one at a time, they made
-# `enumerate --out` ~5% slower than building the whole census first, and
-# batches of 32 cut that to ~2%.  Built layer by layer over each batch (see
-# _build_records), census first_p50_ms fell a further 19% (BENCH_18.json).
+# Records are built in batches of this many (see _records_of), so 32
+# records are held, not the census.  Built and written one at a time, they
+# made `enumerate --out` ~5% slower than building the whole census first,
+# and batches of 32 cut that to ~2%.  Built layer by layer over each batch
+# (see _build_records), census first_p50_ms fell a further 19%
+# (BENCH_18.json).  The writer takes them one at a time; the file buffers.
 _WRITE_BATCH = 32
 
 
 def _write_records(records, fh, fmt):
     """Write records to the open text stream ``fh`` in ``fmt`` (csv or
     jsonl) and return how many were written; the CLI prints a census to
-    stdout through this too.  ``records`` is read a batch at a time, and
-    when reading one raises, the records read before it are still written.
+    stdout through this too.  Each record is written as it is read, so when
+    reading one raises, the records read before it are already written.
     """
     if fmt == "csv":
-        writer = _csv_writer(fh)
-
-        def write(batch):
-            writer.writerows(map(record_to_csv_row, batch))
+        write, line = _csv_writer(fh).writerow, record_to_csv_row
     else:
-        def write(batch):
-            fh.writelines(
-                json.dumps(record_to_json_dict(rec)) + "\n" for rec in batch
-            )
-    records = iter(records)
+        write = fh.write
+
+        def line(rec):
+            return json.dumps(record_to_json_dict(rec)) + "\n"
     count = 0
-    while True:
-        batch = []
-        try:
-            for rec in islice(records, _WRITE_BATCH):
-                batch.append(rec)
-        finally:
-            write(batch)
-            count += len(batch)
-        if len(batch) < _WRITE_BATCH:
-            return count
+    for count, rec in enumerate(records, 1):
+        write(line(rec))
+    return count
 
 
 def _record_of_csv_row(row):

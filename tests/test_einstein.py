@@ -269,6 +269,24 @@ def test_moduli_of_a_large_pruned_box(vec, counts):
             r.perturbation_count) == counts
 
 
+def test_moduli_kernel_refuses_a_box_over_its_work_bound():
+    # (720720,)*4: each half fits the key cap, but its second axis alone
+    # takes about 5 * 10^11 (key, point) steps; refused before that axis
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        moduli_dimension(make_link((720720,) * 4))
+    assert time.perf_counter() - start < 5
+
+
+def test_moduli_kernel_work_bound_refuses_a_small_box(monkeypatch):
+    # (2,3,11,11) answers at the default bound; its half-sums take 11 steps
+    link = make_link((2, 3, 11, 11))
+    assert moduli_dimension(link).kuranishi_dim == 8
+    monkeypatch.setattr(homology, "_MAX_HALF_WORK", 10)
+    with pytest.raises(BudgetExceeded):
+        moduli_dimension(link)
+
+
 def test_moduli_report():
     m = moduli_dimension(make_link((2, 3, 11, 11)))
     assert m.applicable

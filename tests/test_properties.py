@@ -23,6 +23,7 @@ from brieskorn import (
     BudgetExceeded,
     chi_s1,
     e1_page,
+    index_set,
     is_homotopy_sphere,
     is_rational_homology_sphere,
     make_link,
@@ -40,7 +41,7 @@ from brieskorn import (
     sylvester_sequence,
 )
 from brieskorn.homology import _quotient_chi
-from brieskorn.linkmodel import _lattice_strata, _stratum_period_count
+from brieskorn.linkmodel import _lattice_strata, _stratum_periods
 from oracles import count_weighted_monomials, phi
 from test_einstein import SHARED_PRIME_POWERS, se_status_by_fractions
 from test_homology import sig_by_fractions
@@ -137,12 +138,36 @@ def test_sieve_count_is_the_lattice_count(vec):
     # multiples; small exponents make repeats, so strata of several sizes
     link = make_link(vec)
     sieved = {
-        s.index_set: _stratum_period_count(link, s) for s in link.strata
+        s.index_set: _stratum_periods(link, s, 1, link.degree)[1].count(1)
+        for s in link.strata
     }
     assert sieved == {s.index_set: s.period_count for s in link.strata}
     if sum(link.degree // s.min_period for s in link.strata) <= 200_000:
         labels = Counter(s.index_set for _, s in period_spectrum(link).entries)
         assert labels == sieved
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(2, 40), min_size=3, max_size=6).map(tuple),
+    st.integers(0, 1 << 40),
+    st.integers(-3, 400),
+)
+def test_stratum_periods_are_the_periods_each_stratum_labels(vec, at, width):
+    # the one period sieve against its definition I_T = S, on windows
+    # [start, stop] inside [1, 3d] (the first page sieves windows that
+    # start off the minimal period's multiples); width <= 0 gives start >
+    # stop, an empty window
+    link = make_link(vec)
+    start = 1 + at % (3 * link.degree)
+    stop = min(start + width - 1, 3 * link.degree)
+    window = range(start, stop + 1)
+    labels = [index_set(link, t) for t in window]
+    for s in link.strata:
+        periods = itertools.compress(*_stratum_periods(link, s, start, stop))
+        assert list(periods) == [
+            t for t, label in zip(window, labels) if label == s.index_set
+        ], (s.index_set, start, stop)
 
 
 @SETTINGS
