@@ -51,7 +51,7 @@ from .tables import (
 )
 
 # lattice boxes up to this size get a dim-7 signature without being asked
-_AUTO_SIG7_BUDGET = 10**6
+_AUTO_SIG7_BOX = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,20 +113,14 @@ def _cmd_analyze(args, out):
         _print_kv([(k, str(v)) for k, v in d.items()], out)
         return 0
 
-    sig7_budget = None
-    sig7_note = None
-    if len(exponents) == 5:
-        box = math.prod(exponents)
-        if args.sig7:
-            sig7_budget = args.sig7_budget
-        elif box <= _AUTO_SIG7_BUDGET:
-            sig7_budget = _AUTO_SIG7_BUDGET
-        else:
-            sig7_note = (
-                f"skipped: {box} lattice points > {_AUTO_SIG7_BUDGET}; "
-                "pass --sig7 to force"
-            )
-    rec = cached_record(exponents, sig7_budget=sig7_budget, with_sh0=args.sh0)
+    box, sig7_note = math.prod(exponents), None
+    with_sig7 = args.sig7 or box <= _AUTO_SIG7_BOX
+    if len(exponents) == 5 and not with_sig7:
+        sig7_note = (
+            f"skipped: {box} lattice points > {_AUTO_SIG7_BOX}; "
+            "pass --sig7 to force"
+        )
+    rec = cached_record(exponents, with_sig7=with_sig7, with_sh0=args.sh0)
 
     if args.json:
         d = record_to_json_dict(rec)
@@ -303,8 +297,6 @@ def _build_parser():
                    help="append 6-digit decimals to exact fractions")
     p.add_argument("--sig7", action="store_true",
                    help="force the dim-7 signature (may be slow)")
-    p.add_argument("--sig7-budget", type=int, default=10**9, metavar="N",
-                   help="lattice-point budget for --sig7 (default 1e9)")
     p.add_argument("--sh0", action="store_true",
                    help="also compute the degree-0 equivariant rank")
     p.set_defaults(func=_cmd_analyze)

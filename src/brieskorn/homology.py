@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_left
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -307,7 +307,7 @@ def diffeo_type_dim5(exponents):
 
 
 # Most keys in one {partial sum: count} dict of the kernel (about 100 MB),
-# and most (key, axis point) steps one half may take (a few seconds).
+# and most steps to fill one half, or points to walk one (a few seconds).
 _MAX_HALF_KEYS = 1 << 20
 _MAX_HALF_WORK = 1 << 24
 
@@ -332,13 +332,13 @@ def _half_sums(axes, modulus, top):
     return sums
 
 
-def _split_box(steps, ranges, modulus=None, target=None, walk=1 << 24):
+def _split_box(steps, ranges, modulus=None, target=None):
     """Split the lattice box x_j in ranges[j] into two halves of balanced
     box size.  Returns (kept, other, walked): the (step, range) axes of the
     larger half whose bound min(half box, target + 1, modulus) is within
     _MAX_HALF_KEYS, those of the other half, and whether the other half is
     over that bound too, so walked point by point.  Both halves over the
-    bound, or a walked half of more than ``walk`` points, raise
+    bound, or a walked half of more than _MAX_HALF_WORK points, raise
     BudgetExceeded."""
     top = math.inf if target is None else target + 1
     halves, sizes = [[], []], [1, 1]
@@ -352,35 +352,33 @@ def _split_box(steps, ranges, modulus=None, target=None, walk=1 << 24):
     cap = _MAX_HALF_KEYS
     k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
     walked = need[1 - k] > cap
-    if need[k] > cap or walked and sizes[1 - k] > walk:
+    if need[k] > cap:
         raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
+    if walked and sizes[1 - k] > _MAX_HALF_WORK:
+        raise BudgetExceeded(f"lattice half of {sizes[1 - k]} points to "
+                             f"walk, over {_MAX_HALF_WORK}")
     return halves[k], halves[1 - k], walked
 
 
-def _lattice_halves(steps, ranges, modulus=None, target=None, walk=1 << 24):
+def _lattice_halves(steps, ranges, modulus=None, target=None):
     """Meet in the middle over the lattice box x_j in ranges[j] (each
     range's step honoured), split by :func:`_split_box`.  Returns (kept,
     other): the dict {sum of x_j * steps[j] (mod modulus), at most target:
     point count} of the kept half, and (sum, count) pairs of the other half,
     from its dict or, when walked, one point at a time (sums unreduced)."""
-    kept, other, walked = _split_box(steps, ranges, modulus, target, walk)
+    kept, other, walked = _split_box(steps, ranges, modulus, target)
     top = math.inf if target is None else target + 1
     sums = _half_sums(kept, modulus, top)
-    if walked:
-        axes = [range(r.start * w, r.stop * w, r.step * w) for w, r in other]
-        return sums, zip(map(sum, product(*axes)), repeat(1))
-    return sums, _half_sums(other, modulus, top).items()
+    if not walked:
+        return sums, _half_sums(other, modulus, top).items()
+    walk = (0,)  # one generator per axis, in product order; none stores it
+    for w, r in other:
+        axis = range(r.start * w, r.stop * w, r.step * w)
+        walk = (s + x for s, xs in zip(walk, repeat(axis)) for x in xs)
+    return sums, zip(walk, repeat(1))
 
 
-def _check_box(a, budget):
-    """BudgetExceeded when the signature's lattice box prod(a) is over
-    ``budget``; the cached signature is held to the same bound."""
-    box = math.prod(a)
-    if box > budget:
-        raise BudgetExceeded(f"lattice box {box} exceeds budget {budget}")
-
-
-def milnor_signature_dim7(exponents, budget=10**9):
+def milnor_signature_dim7(exponents):
     """Signature of the Milnor fibre intersection form for a 7-dim link.
 
     Brieskorn's count over the open lattice box 0 < x_j < a_j:
@@ -392,8 +390,8 @@ def milnor_signature_dim7(exponents, budget=10**9):
     they are exactly the monodromy eigenvalue-one points).  With d = lcm(a),
     one half of the axes (see :func:`_lattice_halves`) is reduced to sorted
     residues of sum x_j d/a_j mod 2d, which each residue of the other half
-    bisects for the arcs (0,d) and (d,2d).  A box above ``budget`` (default
-    10^9 lattice points) raises BudgetExceeded.
+    bisects for the arcs (0,d) and (d,2d).  A box the kernel refuses raises
+    BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8
@@ -406,11 +404,10 @@ def milnor_signature_dim7(exponents, budget=10**9):
             f"signature is computed for 7-dimensional links "
             f"(five exponents); got {len(a)}"
         )
-    _check_box(a, budget)
     d = math.lcm(*a)
     twod = 2 * d
     steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]
-    kept, other = _lattice_halves(steps, ranges, modulus=twod, walk=budget)
+    kept, other = _lattice_halves(steps, ranges, modulus=twod)
     keys = sorted(kept)
     prefix = [0, *accumulate(kept[s] for s in keys)]
 
@@ -424,7 +421,7 @@ def milnor_signature_dim7(exponents, budget=10**9):
     )
 
 
-def exotic_class_dim7(exponents, budget=10**9):
+def exotic_class_dim7(exponents):
     """Class of a 7-dimensional homotopy-sphere link in bP_8 = Z/28.
 
     The group of homotopy 7-spheres bounding parallelizable manifolds is
@@ -445,7 +442,7 @@ def exotic_class_dim7(exponents, budget=10**9):
         raise PreconditionFailed(
             f"{a} is not a homotopy sphere; bP_8 class undefined"
         )
-    sigma = milnor_signature_dim7(a, budget=budget)
+    sigma = milnor_signature_dim7(a)
     if sigma % 8:
         raise InternalInconsistency(
             f"homotopy-sphere signature {sigma} not divisible by 8"

@@ -40,7 +40,6 @@ from .einstein import (
 from .homology import (
     Dim5Kind,
     Dim5Type,
-    _check_box,
     diffeo_type_dim5,
     is_homotopy_sphere,
     is_rational_homology_sphere,
@@ -48,7 +47,7 @@ from .homology import (
 )
 from .invariants import mean_euler, principal_index, sh_plus_ranks
 from .linkmodel import _INTEGER, _as_link, canonical_exponents, make_link
-from .linkmodel import parse_exponents
+from .linkmodel import _MAX_SUBSETS, parse_exponents
 
 __all__ = [
     "LinkRecord",
@@ -103,20 +102,20 @@ class LinkRecord:
         return canonical_exponents(self.exponents)
 
 
-def build_record(exponents, *, sig7_budget=None, with_sh0=False):
+def build_record(exponents, *, with_sig7=False, with_sh0=False):
     """Compute a :class:`LinkRecord` for an exponent vector (>= 3 entries)
     or its LinkProfile, which every invariant then shares.
 
-    sig7 is computed only when the link is 7-dimensional and ``sig7_budget``
-    is given (BudgetExceeded propagates -- the caller chose the budget).
+    sig7 is computed only when the link is 7-dimensional and ``with_sig7``
+    (BudgetExceeded propagates when the lattice kernel refuses the box).
     sh0_rank is the degree-0 equivariant rank, computed when ``with_sh0``
     and mu_P != 0.
     """
-    return _build_records([exponents], sig7_budget=sig7_budget,
+    return _build_records([exponents], with_sig7=with_sig7,
                           with_sh0=with_sh0)[0]
 
 
-def _build_records(vectors, *, sig7_budget=None, with_sh0=False):
+def _build_records(vectors, *, with_sig7=False, with_sh0=False):
     """The :func:`build_record` of each of the list ``vectors``, each
     invariant computed over the whole list before the next: every profile,
     then every principal index, and so on (see :data:`_WRITE_BATCH`)."""
@@ -138,8 +137,8 @@ def _build_records(vectors, *, sig7_budget=None, with_sh0=False):
                for link, n1, d5 in zip(links, sizes, d5s)]
     rhss = [is_rational_homology_sphere(link) if n1 >= 4 else None
             for link, n1 in zip(links, sizes)]
-    sig7s = [milnor_signature_dim7(link.exponents, budget=sig7_budget)
-             if n1 == 5 and sig7_budget is not None else None
+    sig7s = [milnor_signature_dim7(link.exponents)
+             if n1 == 5 and with_sig7 else None
              for link, n1 in zip(links, sizes)]
     sh0s = [sh_plus_ranks(link, 0, 0).ranks[0] if with_sh0 and mu_p != 0
             else None for link, mu_p in zip(links, mu_ps)]
@@ -523,18 +522,30 @@ def record_to_json_dict(obj):
 
 def record_from_json_dict(d):
     """The :class:`LinkRecord` of an object :func:`record_to_json_dict`
-    wrote; a field of another JSON type or value raises SchemaError."""
+    wrote; a field of another JSON type or value, or a derived field that
+    its exponents do not give, raises SchemaError."""
     if type(d) is not dict:
         raise SchemaError(f"a record is a JSON object, not {d!r}")
     rec = _SCHEMA[LinkRecord][1](d)
-    _check_read_exponents(rec.exponents)
+    a = rec.exponents
+    _check_read_exponents(a)
+    deg, q = math.lcm(*a), rec.recip_sum
+    w = tuple([deg // aj for aj in a])  # a generator's tuple over-allocates
+    s = sum(w)
+    fixed = {"dim": rec.dim == 2 * len(a) - 3, "degree": rec.degree == deg,
+             "weights": rec.weights == w, "mu_P": rec.mu_P == 2 * (s - deg),
+             "recip_sum": q.numerator * deg == q.denominator * s}
+    for name, ok in fixed.items():
+        if not ok:
+            raise SchemaError(f"{name} disagrees with exponents {list(a)}")
     return rec
 
 
-def _check_read_exponents(exponents):
-    """Raise SchemaError unless there are three or more exponents, all >= 2."""
-    if len(exponents) < 3 or min(exponents) < 2:
-        raise SchemaError(f"exponents cannot be {list(exponents)!r}")
+def _check_read_exponents(a):
+    """Raise SchemaError unless there are three or more exponents, all >= 2,
+    with at most _MAX_SUBSETS index subsets, as every record has."""
+    if len(a) < 3 or min(a) < 2 or 1 << len(a) > _MAX_SUBSETS:
+        raise SchemaError(f"exponents cannot be {list(a)!r}")
 
 
 def _format_of(path, fmt):
@@ -763,21 +774,20 @@ def _sig7_fits(s, rec):
         s % 8 == 0 or not rec.homotopy_sphere)
 
 
-def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
+def cached_record(exponents, *, with_sig7=False, with_sh0=False):
     """build_record, with the dim-7 signature kept on disk under
     BRIESKORN_CACHE_DIR: ``v<version>/<canonical>.json`` holds one integer.
 
-    Only a five-exponent call with ``sig7_budget`` reads the cache; every
-    other call, and every field but sig7, is :func:`build_record` of the
-    same link.  A hit is held to ``sig7_budget`` and re-checked by
-    :func:`_sig7_fits`; a file that will not read, decode or fit is a miss,
-    recomputed and rewritten atomically (temp file + rename).
+    Only a five-exponent call ``with_sig7`` reads the cache; every other
+    call, and every field but sig7, is :func:`build_record` of the same
+    link.  A hit is re-checked by :func:`_sig7_fits`; a file that will not
+    read, decode or fit is a miss, recomputed and rewritten atomically
+    (temp file + rename).
     """
     link = make_link(exponents)
     root = os.environ.get(CACHE_ENV)
-    if not root or sig7_budget is None or len(link.exponents) != 5:
-        return build_record(link, sig7_budget=sig7_budget, with_sh0=with_sh0)
-    _check_box(link.exponents, sig7_budget)  # a hit is held to it too
+    if not root or not with_sig7 or len(link.exponents) != 5:
+        return build_record(link, with_sig7=with_sig7, with_sh0=with_sh0)
     rec = build_record(link, with_sh0=with_sh0)
     name = "-".join(map(str, link.canonical)) + ".json"
     path = os.path.join(root, f"v{__version__}", name)
@@ -787,7 +797,7 @@ def cached_record(exponents, *, sig7_budget=None, with_sh0=False):
     except (OSError, ValueError, RecursionError):
         sig7 = None
     if not _sig7_fits(sig7, rec):
-        sig7 = milnor_signature_dim7(link.exponents, budget=sig7_budget)
+        sig7 = milnor_signature_dim7(link.exponents)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _replacing(path) as fh:
             json.dump(sig7, fh)

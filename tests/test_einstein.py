@@ -225,12 +225,12 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
     # keep enough of the box for a half to be walked.
     real, walked = einstein._lattice_halves, []
 
-    def spy(steps, ranges, modulus=None, target=None, walk=1 << 24):
+    def spy(steps, ranges, modulus=None, target=None):
         if target != link.degree:
-            return real(steps, ranges, modulus, target, walk)
+            return real(steps, ranges, modulus, target)
         saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
         try:
-            kept, other = real(steps, ranges, modulus, target, walk)
+            kept, other = real(steps, ranges, modulus, target)
         finally:
             homology._MAX_HALF_KEYS = saved
         walked.append(not isinstance(other, ItemsView))

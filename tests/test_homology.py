@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -86,11 +87,31 @@ def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
         1 for p in itertools.product(*ranges)
         if sum(x * w for x, w in zip(p, steps)) == 100
     )
-    with pytest.raises(BudgetExceeded):
-        _lattice_halves(steps, ranges, modulus=40, walk=49)
+    monkeypatch.setattr(homology, "_MAX_HALF_WORK", 49)
+    with pytest.raises(BudgetExceeded, match="50 points to walk, over 49"):
+        _lattice_halves(steps, ranges, modulus=40)
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 5)
     with pytest.raises(BudgetExceeded):
         _lattice_halves(steps, ranges, modulus=40)
+
+
+def test_a_walked_half_holds_no_axis_in_memory(monkeypatch):
+    # the 50000-point half is over the lowered key cap, so it is walked
+    # against the 2-key half; it yields each sum instead of copying its axis
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
+    tracemalloc.start()
+    try:
+        kept, other = _lattice_halves([1, 3], [range(50000), range(2)])
+        points = total = 0
+        for s, n in other:
+            points += n
+            total += s * n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == {0: 1, 3: 1}
+    assert (points, total) == (50000, sum(range(50000)))
+    assert peak < 100_000
 
 
 def seven_smooth(n):
@@ -407,9 +428,9 @@ def test_milnor_signature_known_values():
 
 
 def test_milnor_signature_one_large_axis():
-    # box 2^4 * 1048579 is far below the default budget, but the large axis
-    # alone makes one half of 1048578 points: that half is walked, not
-    # stored.  Every sum is 2 + x/a with 0 < x/a < 1, so sigma = a - 1.
+    # the large axis alone makes one half of 1048578 points, over the key
+    # cap but within the walk bound: that half is walked, not stored.
+    # Every sum is 2 + x/a with 0 < x/a < 1, so sigma = a - 1.
     a = 1048579
     assert milnor_signature_dim7((2, 2, 2, 2, a)) == a - 1
 
@@ -419,8 +440,9 @@ def test_milnor_signature_guards():
         milnor_signature_dim7((2, 3, 4, 16))
     with pytest.raises(DimensionMismatch):
         exotic_class_dim7((2, 3, 5, 7))
+    # one axis of 62499998 points: a walked half over the kernel's bound
     with pytest.raises(BudgetExceeded):
-        milnor_signature_dim7((2, 2, 2, 3, 5), budget=10)
+        milnor_signature_dim7((2, 2, 2, 2, 62499999))
     for bad in [(1, 2, 2, 3, 5), (2, 2, 2, 3, 5.0)]:
         with pytest.raises(InvalidExponent):
             milnor_signature_dim7(bad)

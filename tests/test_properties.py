@@ -16,11 +16,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from brieskorn import (
-    BudgetExceeded,
     chi_s1,
     e1_page,
     index_set,
@@ -346,12 +344,3 @@ def test_perturbation_count_matches_brute_force(vec):
         if sum(bj * wj for bj, wj in zip(b, link.weights)) == link.degree
     )
     assert moduli_dimension(link).perturbation_count == brute
-
-
-@SETTINGS
-@given(st.lists(st.integers(2, 7), min_size=5, max_size=5).map(tuple))
-def test_signature_budget_edge(vec):
-    box = math.prod(vec)
-    assert milnor_signature_dim7(vec, budget=box) == sig_by_fractions(vec)
-    with pytest.raises(BudgetExceeded):
-        milnor_signature_dim7(vec, budget=box - 1)

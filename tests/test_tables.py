@@ -52,7 +52,7 @@ def test_build_record_worked_example():
 def test_build_record_optional_fields():
     rec = build_record((2, 3, 7, 22), with_sh0=True)
     assert rec.sh0_rank == 6
-    rec7 = build_record((2, 2, 2, 3, 5), sig7_budget=10**6)
+    rec7 = build_record((2, 2, 2, 3, 5), with_sig7=True)
     assert rec7.sig7 == 8
     assert rec7.dim == 7
     assert rec7.dim5_type is None
@@ -60,7 +60,7 @@ def test_build_record_optional_fields():
 
 @pytest.mark.parametrize("v, kwargs", [
     ((2, 3, 4, 16), {}),
-    ((2, 2, 2, 3, 5), {"sig7_budget": 10**6}),
+    ((2, 2, 2, 3, 5), {"with_sig7": True}),
 ])
 def test_build_record_constructs_one_link_profile(monkeypatch, v, kwargs):
     built = []
@@ -83,7 +83,7 @@ def test_build_records_equals_build_record_per_vector():
     assert tables._build_records(census) == [build_record(v) for v in census]
     mixed = [(2, 3, 5), (2, 2, 2, 3, 5), (2, 3, 4, 16), (2, 4, 6, 12),
              (3, 3, 3, 4, 4), (2, 4, 4), (2, 3, 7, 22), (2, 2, 2, 2, 2)]
-    extras = {"sig7_budget": 10**6, "with_sh0": True}
+    extras = {"with_sig7": True, "with_sh0": True}
     assert tables._build_records(mixed, **extras) == [
         build_record(v, **extras) for v in mixed
     ]
@@ -377,7 +377,7 @@ def test_import_names_the_line_of_malformed_bytes(tmp_path, sample_records,
 
 
 def test_jsonl_round_trip_carries_everything(tmp_path, sample_records):
-    rec7 = build_record((2, 2, 2, 3, 5), sig7_budget=10**6, with_sh0=True)
+    rec7 = build_record((2, 2, 2, 3, 5), with_sig7=True, with_sh0=True)
     records = sample_records + [rec7]
     path = tmp_path / "records.jsonl"
     export_records(records, path)
@@ -461,9 +461,10 @@ def test_jsonl_fraction_fields_read_every_spelling_as_fraction_does(tmp_path,
     ("", "dim", True), ("", "weights", [30, 30, 30, 20, 12.0]),
     ("", "chi_m", 5), ("se", "positivity", 1), ("moduli", "kuranishi_dim", None),
     ("", "exponents", [1, 0]), ("", "exponents", []), ("", "exponents", [2, 3]),
+    ("", "exponents", [2] * 19),
 ])
 def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
-    rec = build_record((2, 2, 2, 3, 5), sig7_budget=10**6)
+    rec = build_record((2, 2, 2, 3, 5), with_sig7=True)
     d = tables.record_to_json_dict(rec)
     assert d["sig7"] == 8
     (d[part] if part else d)[field] = value
@@ -472,6 +473,30 @@ def test_jsonl_import_checks_every_field_type(tmp_path, part, field, value):
     (tmp_path / "bad.jsonl").write_text(json.dumps(d) + "\n")
     with pytest.raises(SchemaError):
         import_records(tmp_path / "bad.jsonl")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 9), ("degree", 60), ("weights", [15, 15, 15, 10, 7]),
+    ("mu_P", 60), ("recip_sum", "61/31"), ("exponents", [2, 2, 2, 3, 7]),
+])
+def test_jsonl_import_rechecks_the_fields_its_exponents_fix(tmp_path, field,
+                                                             value):
+    # L(2,2,2,3,5): dim 7, degree 30, weights d/a_j, recip_sum 61/30 and
+    # mu_P = 2 (61 - 30); a field of the right type but another value, or
+    # exponents that give other fields, is refused by name
+    d = tables.record_to_json_dict(build_record((2, 2, 2, 3, 5)))
+    assert tables.record_from_json_dict({**d, "recip_sum": "122/60"}) == (
+        tables.record_from_json_dict(d))
+    d[field] = value
+    name = "degree" if field == "exponents" else field
+    message = f"{name} disagrees with exponents {d['exponents']}"
+    with pytest.raises(SchemaError) as exc:
+        tables.record_from_json_dict(d)
+    assert str(exc.value) == message
+    (tmp_path / "bad.jsonl").write_text("\n" + json.dumps(d) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        import_records(tmp_path / "bad.jsonl")
+    assert str(exc.value) == f"line 2: {message}"
 
 
 @pytest.mark.parametrize("part, field, value", [
@@ -636,7 +661,7 @@ def test_format_inference(tmp_path, sample_records):
 # ---------------------------------------------------------------------------
 # cache
 
-SIG7 = {"sig7_budget": 10**6}
+SIG7 = {"with_sig7": True}
 
 
 def _cache_files(root):
@@ -654,9 +679,9 @@ def test_cached_record_round_trip(tmp_path, monkeypatch):
     counted = []
     signature = tables.milnor_signature_dim7
 
-    def counting_signature(exponents, budget):
+    def counting_signature(exponents):
         counted.append(tuple(exponents))
-        return signature(exponents, budget=budget)
+        return signature(exponents)
 
     monkeypatch.setattr(tables, "milnor_signature_dim7", counting_signature)
     first = cached_record((5, 2, 2, 3, 2), **SIG7)
@@ -753,19 +778,23 @@ def test_cached_record_without_env_is_plain_build(monkeypatch):
     )
 
 
+def test_a_signature_the_lattice_kernel_can_count_answers():
+    # prod(a) = 10^15 lattice points, but each half keeps at most 2d = 2000
+    # residues, so the kernel counts what the old box budget refused
+    rec = build_record((1000,) * 5, with_sig7=True)
+    assert rec.sig7 == 133332666668199
+    assert tables._sig7_fits(rec.sig7, rec)
+
+
 @pytest.mark.parametrize("first", [
-    {"sig7_budget": 10**6}, {"with_sh0": True},
-    {"sig7_budget": 10**6, "with_sh0": True},
+    {"with_sig7": True}, {"with_sh0": True},
+    {"with_sig7": True, "with_sh0": True},
 ])
 def test_cached_record_hit_equals_build_record(tmp_path, monkeypatch, first):
     # whatever an earlier call stored, a call returns what build_record
-    # returns for the same arguments, budget check included
+    # returns for the same arguments
     monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
     v = (5, 2, 2, 3, 2)
     assert cached_record(v, **first) == build_record(v, **first)
     for kwargs in [{}, SIG7, {"with_sh0": True}, {**SIG7, "with_sh0": True}]:
         assert cached_record(v, **kwargs) == build_record(v, **kwargs), kwargs
-    with pytest.raises(BudgetExceeded):
-        build_record(v, sig7_budget=10)
-    with pytest.raises(BudgetExceeded):  # box 120, with sig7 in the cache
-        cached_record(v, sig7_budget=10)
