@@ -7,7 +7,9 @@ are the classical ones for Brieskorn-Pham links:
 * two sufficient inequalities in the style of Boyer-Galicki-Kollar, using
   the auxiliary integers b_i = gcd(lcm_{j != i} a_j, a_i), which the link's
   profile keeps (``LinkProfile.b_numbers``);
-* the Ghigi-Kollar sharp characterization in the pairwise-coprime case;
+* the Ghigi-Kollar sharp characterization in the pairwise-coprime case,
+  which holds iff every b_i is 1: b_i = lcm_{j != i} gcd(a_i, a_j), as gcd
+  distributes over lcm, so no gcd graph is built;
 * the Lichnerowicz-type obstruction of Gauntlett-Martelli-Sparks-Yau,
   expressed through the weights.
 
@@ -113,7 +115,7 @@ def se_coprime_iff(link):
     sum w_i = d * sigma is d < W and W max(a) < d (max(a) + n).
 
     Returns Yes/No accordingly, or NotApplicable when some pair of exponents
-    shares a factor.
+    shares a factor, that is when some b-number b_i exceeds 1.
 
     >>> se_coprime_iff(make_link((2, 3, 5, 7)))
     <CoprimeVerdict.YES: 'Yes'>
@@ -122,7 +124,7 @@ def se_coprime_iff(link):
     """
     link = _as_link(link)
     _require_surface_dim(link)
-    if link.gcd_graph:
+    if any(b > 1 for b in link.b_numbers):  # some gcd(a_i, a_j) > 1
         return CoprimeVerdict.NOT_APPLICABLE
     a, d, w_sum = link.exponents, link.degree, sum(link.weights)
     if d < w_sum and w_sum * max(a) < d * (max(a) + len(a) - 1):

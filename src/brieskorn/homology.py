@@ -152,7 +152,11 @@ def _gcd_graph_reading(exponents):
     """What both sphere criteria read off the link's gcd graph, kept with
     its profile (``LinkProfile._gcd_reading``): the number of isolated
     vertices, and whether some component of odd order >= 3 has all
-    pairwise gcds exactly 2.  Needs dimension >= 5."""
+    pairwise gcds exactly 2.  Both are read off the b-numbers b_i =
+    gcd(a_i, lcm of the others) = lcm_{j != i} gcd(a_i, a_j), with no graph
+    built: i is isolated iff b_i = 1, and such a component can only be the
+    set of even exponents, which is one iff it has odd size >= 3 and each
+    of its b_i is 2.  Needs dimension >= 5."""
     link = _as_link(exponents)
     if len(link.exponents) < 4:
         raise DimensionTooLow(
@@ -277,7 +281,7 @@ def diffeo_type_dim5(exponents):
         raise DimensionMismatch(
             f"dim-5 classification needs four exponents, got {len(a)}"
         )
-    kappa = link.strata[-1].middle_rank  # the principal stratum
+    kappa = link._lattice[2][-1]  # the principal stratum's kappa
     srt = tuple(sorted(a))
     if is_homotopy_sphere(link):
         if kappa != 0:

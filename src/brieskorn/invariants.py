@@ -51,6 +51,7 @@ from .errors import (
 from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
+    _lattice_shape,
     _period_work,
     _stratum_periods,
     index_set,
@@ -172,12 +173,13 @@ def mean_euler(link):
     Sums (-1)^shift * E(S) * chi^{S^1} over the strata S at their minimal
     periods and divides by |mu_P|.  Every shift has the parity of n + 1
     (see :func:`_shift`), so the sign is applied once, to the sum.  E(S) =
-    #{T <= d : I_T = S} is ``Stratum.period_count``, and chi^{S^1} comes
-    from kappa(S), the sub-link's middle Betti number.  Both are read off
-    the profile's strata, from one walk over the 2^(n+1) index subsets
-    (past 2^18 BudgetExceeded is raised).  Exact rational arithmetic.
-    Raises ZeroPrincipalIndex when mu_P = 0 (the average does not converge
-    to a finite period-independent value).
+    #{T <= d : I_T = S}, and chi^{S^1} comes from kappa(S), the sub-link's
+    middle Betti number, both read off the arrays of the profile's walk
+    over the 2^(n+1) index subsets (``LinkProfile._lattice``; past 2^18
+    BudgetExceeded is raised) at the masks with |S| >= 2 and E(S) > 0, so
+    no :class:`Stratum` is built.  Exact rational arithmetic.  Raises
+    ZeroPrincipalIndex when mu_P = 0 (the average does not converge to a
+    finite period-independent value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -190,9 +192,10 @@ def mean_euler(link):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    numerator = sum(s.period_count * _quotient_chi(len(s.exponents),
-                                                   s.middle_rank)
-                    for s in link.strata)
+    _, counts, kappas = link._lattice
+    _, _, rows = _lattice_shape(len(link.exponents))
+    numerator = sum(counts[s] * _quotient_chi(size, kappas[s])
+                    for s, size, _, _ in rows if counts[s])
     if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum
         numerator = -numerator
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))

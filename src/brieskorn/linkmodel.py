@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -97,10 +97,15 @@ class LinkProfile:
     recip_sum : Fraction, sum of 1/a_j; the link is "positive" (log Fano
         range) exactly when this exceeds 1
 
-    The strata (:func:`_lattice_strata`), the Boyer-Galicki-Kollar numbers
-    and the gcd graph with its components and their reading are computed on
-    first use and kept with the profile, so the invariants handed one
-    profile share them.
+    The subset-lattice walk (:func:`_lattice_walk`), the Boyer-Galicki-Kollar
+    numbers b_i and the reading of Brieskorn's gcd graph (an edge when
+    gcd(a_i, a_j) > 1) are made on first use and shared by the invariants
+    handed the profile; the :class:`Stratum` tuple is a view of the walk.
+    The graph is read off the b-numbers: as b_i = lcm_{j != i} gcd(a_i,
+    a_j), i is isolated iff b_i = 1; a component of odd order >= 3 with all
+    pairwise gcds 2 holds every even exponent (any two share 2) and no odd
+    one, so it is one iff the evens number an odd >= 3 and each has b_i = 2
+    (then every gcd(a_i, a_j) with a_i even divides 2).
     """
 
     exponents: tuple
@@ -110,55 +115,29 @@ class LinkProfile:
     recip_sum: Fraction
 
     @cached_property
-    def gcd_graph(self):
-        """Edges (i, j), i < j, with gcd(a_i, a_j) > 1: Brieskorn's graph."""
+    def b_numbers(self):
+        """b_i = gcd(lcm of the other exponents, a_i), the auxiliary
+        integers of the Boyer-Galicki-Kollar inequalities, from the prefix
+        and suffix lcms, so in O(n) lcms and with no cap on n."""
         a = self.exponents
-        return tuple(
-            (i, j)
-            for i, j in combinations(range(len(a)), 2)
-            if math.gcd(a[i], a[j]) > 1
-        )
-
-    @cached_property
-    def _gcd_components(self):
-        """Connected components of :attr:`gcd_graph`, as tuples of indices."""
-        parent = list(range(len(self.exponents)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.gcd_graph:
-            parent[find(i)] = find(j)
-        comps = {}
-        for i in range(len(parent)):
-            comps.setdefault(find(i), []).append(i)
-        return tuple(map(tuple, comps.values()))
+        before = [*accumulate(a, math.lcm, initial=1)][:-1]
+        after = [*accumulate(a[:0:-1], math.lcm, initial=1)][::-1]
+        return tuple(map(math.gcd, map(math.lcm, before, after), a))
 
     @cached_property
     def _gcd_reading(self):
-        """What both sphere criteria read off :attr:`gcd_graph`: the number
-        of isolated vertices, and whether some component of odd order >= 3
-        has all pairwise gcds exactly 2."""
-        a, comps = self.exponents, self._gcd_components
-        odd_two = any(
-            len(comp) >= 3
-            and len(comp) % 2 == 1
-            and all(math.gcd(a[i], a[j]) == 2 for i, j in combinations(comp, 2))
-            for comp in comps
-        )
-        return sum(len(comp) == 1 for comp in comps), odd_two
+        """(isolated vertices, whether some component of odd order >= 3
+        has all pairwise gcds 2): what both sphere criteria read off the
+        gcd graph, from the b-numbers as the class docstring shows."""
+        b = self.b_numbers
+        evens = [bi for ai, bi in zip(self.exponents, b) if ai % 2 == 0]
+        odd_two = len(evens) >= 3 and len(evens) % 2 == 1 and set(evens) == {2}
+        return b.count(1), odd_two
 
     @cached_property
-    def b_numbers(self):
-        """b_i = gcd(lcm of the other exponents, a_i), the auxiliary
-        integers of the Boyer-Galicki-Kollar inequalities."""
-        a = self.exponents
-        return tuple(
-            math.gcd(math.lcm(*a[:i], *a[i + 1:]), x) for i, x in enumerate(a)
-        )
+    def _lattice(self):
+        """(lcms, counts, kappas) of :func:`_lattice_walk`."""
+        return _lattice_walk(self)
 
     @property
     def canonical(self):
@@ -262,10 +241,10 @@ _LATTICE_SHAPES = {}  # n -> (Moebius pairs, walk steps, mask rows), n <= 8
 
 
 def _mask_shape(n, s):
-    """(index frozenset, sub-exponent getter, dim) of the index subset of
+    """(size, index frozenset, sub-exponent getter) of the index subset of
     n positions with bit mask s, |S| >= 2."""
     idx = [j for j in range(n) if s >> j & 1]
-    return frozenset(idx), itemgetter(*idx), 2 * len(idx) - 3
+    return len(idx), frozenset(idx), itemgetter(*idx)
 
 
 def _moebius_pairs(n):
@@ -297,20 +276,21 @@ def _lattice_shape(n):
     return _LATTICE_SHAPES.setdefault(n, tuple(map(tuple, plan)))
 
 
-def _lattice_strata(link):
-    """All strata of the Reeb flow, as :class:`Stratum` tuples sorted by
-    minimal period (the principal stratum, at period d, last).
+def _lattice_walk(link):
+    """(lcms, counts, kappas), each a list indexed by the bit mask of an
+    index subset S: lcm(a_S), E(S) = #{1 <= T <= d : I_T = S} and kappa(S),
+    the sub-link's middle Betti number; the principal stratum is the last
+    entry of each.
 
-    They are the index subsets S with |S| >= 2 and E(S) > 0, read off one
-    walk over the 2^(n+1) subsets, taken over positions: lcm(a_S) is
-    lcm(lcm of S minus its lowest index j, a_j), prod(a_S) likewise.  Per
-    index, Moebius transforms turn #{T : S within I_T} = d / lcm(a_S) into
-    E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see middle_betti).  The
-    walk steps, the masks those transforms pair, and each mask's index
-    set, sub-exponent getter and dim depend on n alone:
-    :func:`_lattice_shape` plans them once per arity and shares the plan,
-    so the walk does only the per-link arithmetic.  More than 2^18 subsets
-    raise BudgetExceeded before anything is allocated.
+    One walk over the 2^(n+1) subsets, taken over positions: with R the
+    set S minus its lowest index j and g = gcd(lcm(a_R), a_j), lcm(a_S) is
+    lcm(a_R) / g * a_j and so prod(a_S) / lcm(a_S) is prod(a_R) / lcm(a_R)
+    * g.  Per index, Moebius transforms turn #{T : S within I_T} = d /
+    lcm(a_S) into E(S) and prod(a_S) / lcm(a_S) into kappa(S) (see
+    middle_betti).  The walk steps and the masks those transforms pair
+    depend on n alone: :func:`_lattice_shape` plans them once per arity and
+    shares the plan, so the walk does only the per-link arithmetic.  More
+    than 2^18 subsets raise BudgetExceeded before anything is allocated.
     """
     a = link.exponents
     if len(a) < 3:
@@ -320,27 +300,37 @@ def _lattice_strata(link):
         )
     if 1 << len(a) > _MAX_SUBSETS:
         raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
-    pairs, steps, rows = _lattice_shape(len(a))
-    lcms, prods = [1], [1]  # indexed by the bit mask of S
+    pairs, steps, _ = _lattice_shape(len(a))
+    lcms, kappas = [1], [1]  # indexed by the bit mask of S
     for rest, j in steps:
-        lcms.append(math.lcm(lcms[rest], a[j]))
-        prods.append(prods[rest] * a[j])
-    counts = [lcms[-1] // t for t in lcms]
-    kappas = [p // t for p, t in zip(prods, lcms)]
+        t = lcms[rest]
+        g = math.gcd(t, a[j])
+        lcms.append(t // g * a[j])
+        kappas.append(kappas[rest] * g)  # prod(a_S) / lcm(a_S), for now
+    d = lcms[-1]
+    counts = [d // t for t in lcms]
     for lo, hi in pairs:
         counts[lo] -= counts[hi]
         kappas[hi] -= kappas[lo]
-    if lcms[-1] != link.degree or counts[-1] != 1:
+    if d != link.degree or counts[-1] != 1:
         raise InternalInconsistency("principal stratum missing or misplaced")
     if min(kappas) < 0:  # each kappa(S) counts lattice points
         raise InternalInconsistency(f"negative sub-link middle rank in {a}")
-    out = [
-        Stratum(index_set, getter(a), lcms[s], dim, counts[s], kappas[s])
-        for s, index_set, getter, dim in rows
-        if counts[s] > 0
-    ]
-    out.sort(key=itemgetter(2))  # by min_period
-    return tuple(out)
+    return lcms, counts, kappas
+
+
+def _lattice_strata(link):
+    """All strata of the Reeb flow, as :class:`Stratum` tuples sorted by
+    minimal period (the principal stratum, at period d, last): the index
+    subsets S with |S| >= 2 and E(S) > 0 of the profile's walk
+    (``LinkProfile._lattice``), with the rows of :func:`_lattice_shape`."""
+    a = link.exponents
+    lcms, counts, kappas = link._lattice
+    return tuple(sorted(
+        (Stratum(index_set, getter(a), lcms[s], 2 * n - 3, counts[s], kappas[s])
+         for s, n, index_set, getter in _lattice_shape(len(a))[2] if counts[s]),
+        key=itemgetter(2),  # by min_period
+    ))
 
 
 @dataclass(frozen=True)

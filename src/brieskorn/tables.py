@@ -153,7 +153,7 @@ def _build_records(vectors, *, with_sig7=False, with_sh0=False):
             recip_sum=link.recip_sum,
             mu_P=mu_p,
             chi_m=chi_m,
-            middle_rank=link.strata[-1].middle_rank,  # the principal stratum
+            middle_rank=link._lattice[2][-1],  # the principal kappa
             homotopy_sphere=sphere,
             rhs=rhs,
             dim5_type=d5,

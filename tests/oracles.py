@@ -11,12 +11,17 @@ the tests compare it against:
   (``moduli_dimension``);
 * :func:`sylvester_numerator`, the closed-form chi_m * |mu_P| of the
   Sylvester links, which the package sums over the stratum table
-  (``mean_euler``).
+  (``mean_euler``);
+* :func:`gcd_graph_edges` and its components by union-find, from which
+  :func:`sphere_criteria_by_components` reads Brieskorn's two sphere
+  criteria, which the package reads off the b-numbers
+  (``LinkProfile._gcd_reading``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import combinations
 
 from brieskorn.errors import BudgetExceeded, PreconditionFailed
@@ -159,3 +164,69 @@ def sylvester_numerator(n, a):
             outside = math.prod(c - 1 for j, c in enumerate(cs) if j not in subset)
             total += outside * (size + 1 + (a - 1) * (size + size % 2))
     return (-1) ** (n + 1) * total
+
+
+def gcd_graph_edges(exponents):
+    """Brieskorn's gcd graph: the pairs (i, j), i < j, with gcd(a_i, a_j) > 1.
+
+    >>> gcd_graph_edges((2, 3, 4, 16))
+    [(0, 2), (0, 3), (2, 3)]
+    """
+    return [
+        (i, j)
+        for i, j in combinations(range(len(exponents)), 2)
+        if math.gcd(exponents[i], exponents[j]) > 1
+    ]
+
+
+def components_by_union_find(exponents):
+    """Connected components of :func:`gcd_graph_edges`, as index lists.
+
+    >>> components_by_union_find((2, 3, 4, 16))
+    [[0, 2, 3], [1]]
+    """
+    parent = list(range(len(exponents)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in gcd_graph_edges(exponents):
+        parent[find(i)] = find(j)
+    comps = defaultdict(list)
+    for i in range(len(exponents)):
+        comps[find(i)].append(i)
+    return list(comps.values())
+
+
+def gcd_graph_reading_by_components(exponents):
+    """(isolated vertices, whether some component of odd order >= 3 has all
+    pairwise gcds 2), read off :func:`components_by_union_find`."""
+    comps = components_by_union_find(exponents)
+    isolated = sum(1 for c in comps if len(c) == 1)
+    odd_two = any(
+        len(c) >= 3 and len(c) % 2 == 1 and all(
+            math.gcd(exponents[i], exponents[j]) == 2
+            for i, j in combinations(c, 2)
+        )
+        for c in comps
+    )
+    return isolated, odd_two
+
+
+def sphere_criteria_by_components(exponents):
+    """Brieskorn's (homotopy sphere, rational homology sphere) from the
+    components: at least two isolated vertices, or one with an odd all-2
+    component; at least one isolated vertex, or an odd all-2 component.
+
+    >>> sphere_criteria_by_components((2, 2, 2, 3))
+    (True, True)
+    >>> sphere_criteria_by_components((2, 2, 3, 3))
+    (False, False)
+    """
+    isolated, odd_two = gcd_graph_reading_by_components(exponents)
+    return (
+        isolated >= 2 or (isolated == 1 and odd_two),
+        isolated >= 1 or odd_two,
+    )

@@ -21,6 +21,7 @@ from brieskorn import (
     build_record,
     chi_s1,
     diffeo_type_dim5,
+    enumerate_links,
     exotic_class_dim7,
     is_homotopy_sphere,
     is_rational_homology_sphere,
@@ -32,6 +33,11 @@ from brieskorn import (
 )
 from brieskorn import homology
 from brieskorn.homology import _lattice_halves
+from oracles import (
+    components_by_union_find,
+    gcd_graph_reading_by_components,
+    sphere_criteria_by_components,
+)
 
 
 def box_kappa(exponents):
@@ -230,43 +236,6 @@ def test_homotopy_sphere_implies_trivial_rational_homology():
             assert middle_betti(v) == 0, v
 
 
-def components_by_union_find(exponents):
-    """Reference gcd-graph components: union every pair with gcd > 1."""
-    parent = list(range(len(exponents)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for i, j in itertools.combinations(range(len(exponents)), 2):
-        if math.gcd(exponents[i], exponents[j]) > 1:
-            parent[find(i)] = find(j)
-    comps = collections.defaultdict(list)
-    for i in range(len(exponents)):
-        comps[find(i)].append(i)
-    return list(comps.values())
-
-
-def sphere_criteria_by_components(exponents):
-    """Reference (homotopy sphere, rational homology sphere) from the
-    components: isolated vertices, and odd components (>= 3) whose pairwise
-    gcds all equal 2."""
-    comps = components_by_union_find(exponents)
-    isolated = sum(1 for c in comps if len(c) == 1)
-    odd_two = any(
-        len(c) >= 3 and len(c) % 2 == 1 and all(
-            math.gcd(exponents[i], exponents[j]) == 2
-            for i, j in itertools.combinations(c, 2)
-        )
-        for c in comps
-    )
-    return (
-        isolated >= 2 or (isolated == 1 and odd_two),
-        isolated >= 1 or odd_two,
-    )
-
-
 @pytest.mark.parametrize("length", [4, 5])
 def test_gcd_graph_criteria_against_components_oracle(length):
     # every multiset of 4 or 5 exponents in 2..12 (1001 and 3003 links)
@@ -285,24 +254,91 @@ def test_gcd_graph_criteria_against_components_oracle(length):
                 assert rhs, v
 
 
-def test_gcd_graph_criteria_read_the_profile_components():
-    link = make_link((2, 2, 3, 3))
-    assert link._gcd_components == ((0, 1), (2, 3))
+def b_numbers_by_definition(exponents):
+    """b_i = gcd(lcm of the other exponents, a_i), one lcm per index."""
+    a = exponents
+    return tuple(
+        math.gcd(math.lcm(*a[:i], *a[i + 1:]), x) for i, x in enumerate(a)
+    )
+
+
+def test_gcd_graph_criteria_against_oracles_on_random_vectors():
+    # seeded vectors of 3..22 exponents in 2..60, so both sides of the 2^18
+    # subset cap: a third uniform, a third from the primes and their
+    # doubles, which makes isolated vertices common, and a third built
+    # round an odd number of doubles of distinct primes (an odd all-2
+    # component), one exponent then redrawn at random
+    rng = random.Random(23)
+    primes = [p for p in range(3, 31) if all(p % q for q in range(2, p))]
+    pool = [2] + primes + [2 * p for p in primes]
+    seen = collections.Counter()
+    for k in range(3000):
+        n = rng.randint(3, 22)
+        if k % 3 == 0:
+            v = [rng.randint(2, 60) for _ in range(n)]
+        elif k % 3 == 1:
+            v = [rng.choice(pool) for _ in range(n)]
+        else:
+            halves = rng.sample([1] + primes[:9], rng.choice((3, 5, 7, 9)))
+            odds = [x for x in range(3, 61, 2)
+                    if all(math.gcd(x, h) == 1 for h in halves)]
+            v = [2 * h for h in halves]
+            v += [rng.choice(odds) for _ in range(max(0, n - len(v)))]
+            v[rng.randrange(len(v))] = rng.randint(2, 60)
+            rng.shuffle(v)
+        v, n = tuple(v), len(v)
+        link = make_link(v)
+        assert link.b_numbers == b_numbers_by_definition(v), v
+        coprime = all(len(c) == 1 for c in components_by_union_find(v))
+        verdict = se_coprime_iff(link)
+        assert (verdict is not CoprimeVerdict.NOT_APPLICABLE) is coprime, v
+        if n == 3:
+            with pytest.raises(DimensionTooLow):
+                is_homotopy_sphere(link)
+            continue
+        assert link._gcd_reading == gcd_graph_reading_by_components(v), v
+        sphere, rhs = sphere_criteria_by_components(v)
+        assert is_homotopy_sphere(link) is sphere, v
+        assert is_rational_homology_sphere(link) is rhs, v
+        seen[sphere, rhs, coprime, n > 18] += 1
+        seen["odd_two", link._gcd_reading[1]] += 1
+        seen["odd_two past the cap", link._gcd_reading[1] and n > 18] += 1
+    # every reading the criteria tell apart occurs, past the cap too
+    # (no 19 exponents in 2..60 are pairwise coprime: there are 17 primes)
+    for key in [(True, True, True, False), (True, True, False, True),
+                (False, True, False, True), (False, False, False, True),
+                ("odd_two", True), ("odd_two past the cap", True)]:
+        assert seen[key] > 0, (key, seen)
+
+
+def test_gcd_graph_criteria_read_the_profile_b_numbers():
+    link = make_link((2, 2, 2, 3, 3))
+    assert link.b_numbers == (2, 2, 2, 3, 3)
+    assert link._gcd_reading == (0, True)  # the evens, all gcds 2
+    assert is_rational_homology_sphere(link)
     assert not is_homotopy_sphere(link)
-    # the criteria read what the profile keeps, not a second walk: the
-    # reading is kept too, so inject into a fresh profile before first use
-    link = make_link((2, 2, 3, 3))
-    link.__dict__["_gcd_components"] = ((0,), (1,), (2,), (3,))
-    assert is_homotopy_sphere(link)
     assert se_coprime_iff(link) is CoprimeVerdict.NOT_APPLICABLE
-    link.__dict__["gcd_graph"] = ()
+    # the criteria read what the profile keeps: the reading is kept too,
+    # so inject into a fresh profile before first use
+    link = make_link((2, 2, 2, 3, 3))
+    link.__dict__["b_numbers"] = (2, 2, 2, 1, 3)
+    assert is_homotopy_sphere(link)  # one isolated vertex and the evens
+    assert se_coprime_iff(link) is CoprimeVerdict.NOT_APPLICABLE
+    link = make_link((2, 2, 2, 3, 3))
+    link.__dict__["b_numbers"] = (2, 2, 4, 3, 3)
+    assert not is_rational_homology_sphere(link)
+    link = make_link((2, 2, 2, 3, 3))
+    link.__dict__["b_numbers"] = (1, 1, 1, 1, 1)
+    assert is_homotopy_sphere(link)
     assert se_coprime_iff(link) is not CoprimeVerdict.NOT_APPLICABLE
 
 
-def test_census_record_walks_gcd_graph_once(monkeypatch):
-    # the gcd graph's components, their reading by both sphere criteria and
-    # the b-numbers of the SE tests and the moduli box: once per record
-    names = ["_gcd_components", "_gcd_reading", "b_numbers"]
+def test_census_record_reads_the_walk_and_b_numbers_once(monkeypatch):
+    # the subset-lattice walk (the mean Euler sum, middle rank and dim-5
+    # kappa), the b-numbers (the SE tests and the moduli box) and their
+    # gcd-graph reading (both sphere criteria): once per record; the
+    # Stratum view of the walk is never built
+    names = ["_lattice", "b_numbers", "_gcd_reading", "strata"]
     made = {name: [] for name in names}
 
     def counting(name, func):
@@ -317,7 +353,11 @@ def test_census_record_walks_gcd_graph_once(monkeypatch):
     vectors = [(2, 3, 4, 16), (2, 2, 3, 3), (2, 3, 5, 7), (2, 2, 2, 3, 5)]
     for v in vectors:
         build_record(v)
-    assert made == {name: vectors for name in names}
+    assert made == {**{name: vectors for name in names}, "strata": []}
+    # nor does a census
+    records = enumerate_links(5, 9)
+    assert len(records) == 330
+    assert made["strata"] == []
 
 
 def test_diffeo_type_sphere():

@@ -22,6 +22,7 @@ from brieskorn import (
     sylvester_links,
     sylvester_sequence,
 )
+from oracles import components_by_union_find, gcd_graph_edges
 
 
 def strata_by_closure(link):
@@ -81,8 +82,13 @@ def test_make_link_profile():
     assert link.weights == (24, 16, 12, 3)
     assert link.link_dim == 5
     assert link.recip_sum * 48 == 55
-    # gcd graph: edges exactly between non-coprime exponent positions
-    assert set(link.gcd_graph) == {(0, 2), (0, 3), (2, 3)}
+    # gcd graph: edges exactly between non-coprime exponent positions;
+    # the profile reads it off b_i = gcd(a_i, lcm of the others): 3 is the
+    # one isolated vertex, and no odd component has all pairwise gcds 2
+    assert gcd_graph_edges(link.exponents) == [(0, 2), (0, 3), (2, 3)]
+    assert components_by_union_find(link.exponents) == [[0, 2, 3], [1]]
+    assert link.b_numbers == (2, 1, 4, 4)
+    assert link._gcd_reading == (1, False)
 
 
 def test_make_link_validates():

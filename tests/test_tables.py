@@ -49,6 +49,29 @@ def test_build_record_worked_example():
     assert (rec.moduli.kuranishi_dim, rec.moduli.perturbation_count) == (2, 6)
 
 
+@pytest.mark.parametrize("top,length", [(18, 4), (10, 5)])
+def test_records_read_the_walk_as_the_strata_and_middle_betti_do(top, length):
+    # every 4-multiset of 2..18 and 5-multiset of 2..10, built as a census
+    # builds them: chi_m, summed straight off the walk's arrays, is the sum
+    # over the Stratum view of the same walk, and the middle rank read off
+    # the walk is middle_betti's own inclusion-exclusion
+    vectors = list(combinations_with_replacement(range(2, top + 1), length))
+    links = [make_link(v) for v in vectors]
+    records = tables._build_records(links)
+    for v, link, rec in zip(vectors, links, records):
+        assert "strata" not in link.__dict__, v
+        assert rec.middle_rank == homology.middle_betti(v), v
+        if rec.dim5_type is not None:
+            assert rec.dim5_type.middle_rank == rec.middle_rank, v
+        if rec.mu_P == 0:
+            continue
+        total = sum(s.period_count * homology._quotient_chi(len(s.exponents),
+                                                            s.middle_rank)
+                    for s in link.strata)
+        sign = -1 if length % 2 else 1
+        assert rec.chi_m == Fraction(sign * total, abs(rec.mu_P)), v
+
+
 def test_build_record_optional_fields():
     rec = build_record((2, 3, 7, 22), with_sh0=True)
     assert rec.sh0_rank == 6
