@@ -22,22 +22,25 @@ the Kuranishi-style dimension h^0(O(d)) - sum_i h^0(O(w_i)) and the number
 of admissible perturbation monomials z^b with 0 <= b_j < a_j of weighted
 degree d, counted by meeting in the middle; h^0(O(d)) is the latter plus the
 n + 1 pure powers z_j^{a_j}, the only ones of degree d with some b_j = a_j.
-For some links the two counts disagree in the literature; both are reported.
+Both are reported; :class:`ModuliReport` says when the first is the moduli.
 
 Both counts are exact sums sum_k b_k / a_k = 1 (target d) or 1/a_i (target
-w_i) over monomials z^b, and most of the box cannot meet them.  Let q_j =
-a_j / gcd(a_j, lcm_{k != j} a_k), a_j over the auxiliary integer above.  If
-p^e exactly divides a_j and every other exponent carries at most p^f, f < e,
-multiply the sum by d = lcm(a): every term but b_j d/a_j, and the right-hand
-side unless it is d/a_j, is divisible by p^(e-f), while d/a_j is prime to p.
-So p^(e-f) divides b_j, or b_j - 1 when the target is w_j; over all such p,
-q_j divides b_j, or b_j - 1.  The counts therefore visit only multiples of
-q_j on axis j, a_j / q_j points instead of a_j, and a weight with q_i > 1
-has h^0(O(w_i)) = 1, the monomial z_i alone.
+w_i) over monomials z^b, and most of the box cannot meet them.  Let beta_j =
+gcd(a_j, lcm_{k != j} a_k), the auxiliary integer above, and q_j = a_j /
+beta_j.  If p^e exactly divides a_j and the other exponents at most p^f, f <
+e, multiply the sum by d = lcm(a): all terms but b_j d/a_j, and the right
+side unless it is d/a_j, are divisible by p^(e-f), and d/a_j is prime to p.
+So q_j divides b_j, or b_j - 1 for the target w_j: if q_i > 1, h^0(O(w_i)) =
+1 (z_i alone).  Otherwise b_j = q_j c_j, 0 <= c_j < beta_j, and b_j w_j =
+(d/D) c_j D/beta_j with D = lcm(beta): the counts are those of sum c_j
+D/beta_j = D, or D/beta_i where beta_i = a_i, a function of the b-number
+class (the sorted beta_i, negated where beta_i = a_i).
 """
 
 from __future__ import annotations
 
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -208,32 +211,39 @@ def se_status(link):
     )
 
 
+# {b-number class: counts} of the census batch being built, set around each
+# batch by tables._records_of; outside one, every count is fresh
+_class_memo = ContextVar("_class_memo")
+
+
 def _monomial_counts(link):
-    """(perturbations, sum_i h^0(O(w_i))) from one kernel call over the
-    stride-pruned box (see :func:`moduli_dimension`); only sums s <= max(w)
-    can meet some w_i."""
-    a, w, d = link.exponents, link.weights, link.degree
+    """(perturbations, sum_i h^0(O(w_i))) of the link's b-number class (see
+    :func:`moduli_dimension`) through ``_class_memo``: one kernel call over
+    0 <= c_j < beta_j at steps D / beta_j, target D = lcm(beta), where only
+    sums s <= max D / beta_i can meet the target of some beta_i = a_i."""
+    a, d, beta = link.exponents, link.degree, link.b_numbers
     if d + 1 > homology._MAX_HALF_KEYS:
         # refuse what the kernel refuses on the unpruned box 0 <= b_j < a_j;
         # while d + 1 is within the key cap, it refuses nothing there
-        homology._split_box(w, map(range, a), target=d)
-    steps, axes, weights, h0_w = [], [], {}, 0
-    for x, aj, bj in zip(w, a, link.b_numbers):
-        q = aj // bj
-        if q < aj:  # an axis with q_j = a_j holds b_j = 0 alone
-            steps.append(x)
-            axes.append(range(0, aj, q))
-        h0_w += q > 1  # then h^0(O(w_i)) = 1: the monomial z_i alone
-        if q == 1:
-            weights[x] = weights.get(x, 0) + 1
-    kept, other = _lattice_halves(steps, axes, target=d)
-    get, top, weights = kept.get, max(w), weights.items()
-    perturbations = 0
+        homology._split_box(link.weights, map(range, a), target=d)
+    cls = tuple(sorted([-b if b == x else b for x, b in zip(a, beta)]))
+    memo = _class_memo.get(None)
+    if memo and cls in memo:
+        return memo[cls]
+    top = math.lcm(*beta)
+    axes = [b for b in beta if b > 1]  # beta_j = 1 holds c_j = 0
+    targets = [top // -b for b in cls if b < 0]
+    kept, other = _lattice_halves([top // b for b in axes],
+                                  [range(b) for b in axes], target=top)
+    get, reach = kept.get, max(targets, default=0)
+    perturbations, h0_w = 0, len(cls) - len(targets)  # q_i > 1: z_i alone
     for s, n in other:
-        perturbations += n * get(d - s, 0)
-        if s <= top:
-            for x, m in weights:
-                h0_w += n * m * get(x - s, 0)
+        perturbations += n * get(top - s, 0)
+        if s <= reach:
+            for t in targets:
+                h0_w += n * get(t - s, 0)
+    if memo is not None:
+        memo[cls] = perturbations, h0_w
     return perturbations, h0_w
 
 
@@ -241,13 +251,15 @@ def _monomial_counts(link):
 class ModuliReport:
     """Both deformation counts, side by side.
 
-    ``kuranishi_dim`` = h^0(O(d)) - sum_i h^0(O(w_i)) on CP(w);
-    ``perturbation_count`` = number of admissible perturbation monomials.
-    The two measure the same moduli in different ways and are known to
-    disagree for some links (e.g. 8 vs 10 for (2,3,11,11)); this package
-    reports both and adjudicates neither.  ``applicable`` records whether
-    the hypersurface-deformation count is justified for this link (at most
-    one exponent equal to 2).
+    ``kuranishi_dim`` = h^0(O(d)) - sum_i h^0(O(w_i)) on CP(w) and
+    ``perturbation_count``, the admissible perturbation monomials, differ
+    by h0_weight_sum - (n + 1): 8 vs 10 for (2,3,11,11).  When
+    ``applicable`` (at most one exponent 2), ``kuranishi_dim`` is the local
+    moduli dimension (Boyer-Galicki-Kollar, *Einstein metrics on spheres*,
+    Ann. of Math. 2005): z_i -> z_i + eps g, deg g = w_i, moves the Fermat
+    polynomial along the h0_weight_sum monomials g z_i^(a_i - 1), which are
+    then pairwise distinct; for (2,3,11,11) they remove z_2^10 z_3 and
+    z_2 z_3^10 from the perturbations.
     """
 
     applicable: bool
@@ -267,15 +279,11 @@ def moduli_dimension(link):
     a_j / min(a) < a_j, so one kernel call over the box 0 <= b_j < a_j with
     target d answers the perturbations and every w_i at once.
 
-    That call visits only b_j divisible by q_j = a_j / gcd(a_j, lcm of the
-    other exponents).  A prime power p^(e-f) of q_j has p^e exactly dividing
-    a_j and at most p^f in the others; in sum_k b_k d/a_k = d or d/a_i every
-    term but b_j d/a_j is divisible by p^(e-f), d/a_j is not divisible by p,
-    and the right-hand side is divisible by p^(e-f) unless i = j.  So q_j
-    divides every b_j counted, except that b_i = 1 mod q_i for the target
-    w_i: when q_i > 1, b_i = 1 and h^0(O(w_i)) = 1, the monomial z_i.  The
-    boxes of links with d + 1 over the kernel's key cap are still refused
-    as the unpruned box 0 <= b_j < a_j would be.
+    That call counts the link's b-number class (see the module docstring),
+    whose key sets are those of the stride-pruned box scaled by D/d: the
+    kernel fills them in as many steps, under a no larger key bound.
+    Links with d + 1 over the key cap are refused first as the unpruned box
+    0 <= b_j < a_j would be.
 
     >>> r = moduli_dimension(make_link((2, 3, 11, 11)))
     >>> (r.kuranishi_dim, r.perturbation_count)

@@ -51,7 +51,6 @@ from .errors import (
 from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
-    _lattice_shape,
     _period_work,
     _stratum_periods,
     index_set,
@@ -176,10 +175,10 @@ def mean_euler(link):
     #{T <= d : I_T = S}, and chi^{S^1} comes from kappa(S), the sub-link's
     middle Betti number, both read off the arrays of the profile's walk
     over the 2^(n+1) index subsets (``LinkProfile._lattice``; past 2^18
-    BudgetExceeded is raised) at the masks with |S| >= 2 and E(S) > 0, so
-    no :class:`Stratum` is built.  Exact rational arithmetic.  Raises
-    ZeroPrincipalIndex when mu_P = 0 (the average does not converge to a
-    finite period-independent value).
+    BudgetExceeded is raised) at the masks with |S| >= 2 and E(S) > 0, of
+    which only the popcount is read, so no Stratum or index set is built.
+    Exact rational arithmetic.  Raises ZeroPrincipalIndex when mu_P = 0 (the
+    average does not converge to a finite period-independent value).
 
     >>> mean_euler(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)
@@ -193,9 +192,8 @@ def mean_euler(link):
             f"principal index of {link.exponents} is zero"
         )
     _, counts, kappas = link._lattice
-    _, _, rows = _lattice_shape(len(link.exponents))
-    numerator = sum(counts[s] * _quotient_chi(size, kappas[s])
-                    for s, size, _, _ in rows if counts[s])
+    numerator = sum(e * _quotient_chi(s.bit_count(), kappas[s])
+                    for s, e in enumerate(counts) if e and s & (s - 1))
     if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum
         numerator = -numerator
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))

@@ -263,16 +263,16 @@ def _lattice_shape(n):
     depends on n alone: its Moebius pairs; for each mask S > 0 in order,
     the walk step (S minus its lowest index, that index); and for each mask
     with |S| >= 2, the row (S, *:func:`_mask_shape`).  Shared by every link
-    with n exponents when 2^n <= 256; larger arities get generators, so a
-    walk keeps no state."""
+    with n exponents when 2^n <= 256; larger arities get generators and no
+    rows, so a walk keeps no state."""
     shape = _LATTICE_SHAPES.get(n)
     if shape is not None:
         return shape
     steps = ((s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << n))
+    if 1 << n > _MAX_KEPT_SHAPE:
+        return _moebius_pairs(n), steps, None
     rows = ((s, *_mask_shape(n, s)) for s in range(1 << n) if s & (s - 1))
     plan = _moebius_pairs(n), steps, rows
-    if 1 << n > _MAX_KEPT_SHAPE:
-        return plan
     return _LATTICE_SHAPES.setdefault(n, tuple(map(tuple, plan)))
 
 
@@ -324,11 +324,13 @@ def _lattice_strata(link):
     minimal period (the principal stratum, at period d, last): the index
     subsets S with |S| >= 2 and E(S) > 0 of the profile's walk
     (``LinkProfile._lattice``), with the rows of :func:`_lattice_shape`."""
-    a = link.exponents
+    a, n = link.exponents, len(link.exponents)
     lcms, counts, kappas = link._lattice
+    rows = _lattice_shape(n)[2] or (  # past the kept shapes, strata alone
+        (s, *_mask_shape(n, s)) for s, e in enumerate(counts) if e and s & (s - 1))
     return tuple(sorted(
-        (Stratum(index_set, getter(a), lcms[s], 2 * n - 3, counts[s], kappas[s])
-         for s, n, index_set, getter in _lattice_shape(len(a))[2] if counts[s]),
+        (Stratum(index_set, getter(a), lcms[s], 2 * k - 3, counts[s], kappas[s])
+         for s, k, index_set, getter in rows if counts[s]),
         key=itemgetter(2),  # by min_period
     ))
 

@@ -34,6 +34,7 @@ from .einstein import (
     ModuliReport,
     SEReport,
     SEVerdict,
+    _class_memo,
     moduli_dimension,
     se_status,
 )
@@ -170,13 +171,19 @@ def _build_records(vectors, *, with_sig7=False, with_sh0=False):
 def _records_of(vectors):
     """The records of ``vectors``, read lazily and built a batch at a time by
     :func:`_build_records`.  A batch that raises is rebuilt one vector at a
-    time, so the records before the failing vector are still yielded."""
-    vectors = iter(vectors)
+    time, so the records before the failing vector are still yielded.  The
+    batches share one ``einstein._class_memo`` of moduli counts."""
+    vectors, memo = iter(vectors), {}
     while batch := list(islice(vectors, _WRITE_BATCH)):
+        if len(memo) > 1 << 12:  # b-number classes, about 1 MB
+            memo.clear()
+        token = _class_memo.set(memo)
         try:
             records = _build_records(batch)
         except Exception:
             records = map(build_record, batch)
+        finally:
+            _class_memo.reset(token)
         yield from records
 
 

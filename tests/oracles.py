@@ -9,6 +9,12 @@ the tests compare it against:
 * :func:`count_weighted_monomials`, the dynamic-programming count of
   h^0(O(d)), which the package answers by meeting in the middle
   (``moduli_dimension``);
+* :func:`stride_pruned_counts`, the moduli counts over the box of the
+  exponents at strides q_j = a_j / b_j with target d, which the package
+  reduces to a count of the b-number class;
+* :func:`automorphism_monomials`, the monomials g z_i^(a_i - 1) along which
+  the graded automorphisms move the Fermat polynomial, as many as
+  ``ModuliReport.h0_weight_sum`` counts;
 * :func:`sylvester_numerator`, the closed-form chi_m * |mu_P| of the
   Sylvester links, which the package sums over the stratum table
   (``mean_euler``);
@@ -24,6 +30,7 @@ import math
 from collections import defaultdict
 from itertools import combinations
 
+from brieskorn import homology
 from brieskorn.errors import BudgetExceeded, PreconditionFailed
 from brieskorn.linkmodel import sylvester_sequence
 
@@ -124,6 +131,70 @@ def count_weighted_monomials(weights, degree):
         for amount in range(w, degree + 1):
             table[amount] += table[amount - w]
     return table[degree]
+
+
+def stride_pruned_counts(link):
+    """(perturbations, sum_i h^0(O(w_i))) of a LinkProfile from one lattice
+    kernel call over 0 <= b_j < a_j at stride q_j = a_j / b_j (b_j the
+    link's b-number) with target d, refused as the unpruned box would be
+    when d + 1 is over the kernel's key cap.  A weight with q_i > 1 has
+    h^0(O(w_i)) = 1; only sums s <= max(w) can meet some w_i.
+
+    >>> from brieskorn import make_link
+    >>> stride_pruned_counts(make_link((2, 3, 11, 11)))
+    (10, 6)
+    """
+    a, w, d = link.exponents, link.weights, link.degree
+    if d + 1 > homology._MAX_HALF_KEYS:
+        homology._split_box(w, map(range, a), target=d)
+    steps, axes, weights, h0_w = [], [], {}, 0
+    for x, aj, bj in zip(w, a, link.b_numbers):
+        q = aj // bj
+        if q < aj:  # an axis with q_j = a_j holds b_j = 0 alone
+            steps.append(x)
+            axes.append(range(0, aj, q))
+        h0_w += q > 1
+        if q == 1:
+            weights[x] = weights.get(x, 0) + 1
+    kept, other = homology._lattice_halves(steps, axes, target=d)
+    get, top, weights = kept.get, max(w), weights.items()
+    perturbations = 0
+    for s, n in other:
+        perturbations += n * get(d - s, 0)
+        if s <= top:
+            for x, m in weights:
+                h0_w += n * m * get(x - s, 0)
+    return perturbations, h0_w
+
+
+def automorphism_monomials(exponents):
+    """The monomials g z_i^(a_i - 1), g of weighted degree w_i, as exponent
+    tuples in a list (with repeats): the directions in which z_i -> z_i +
+    eps g moves the Fermat polynomial sum z_i^(a_i).
+
+    >>> sorted(automorphism_monomials((2, 3, 11, 11)))[:4]
+    [(0, 0, 0, 11), (0, 0, 1, 10), (0, 0, 10, 1), (0, 0, 11, 0)]
+    >>> len(automorphism_monomials((2, 3, 11, 11)))
+    6
+    """
+    a = tuple(exponents)
+    d = math.lcm(*a)
+    w = [d // aj for aj in a]
+
+    def degree_monomials(target, j=0):  # exponent tuples of weight target
+        if j == len(w):
+            if target == 0:
+                yield ()
+            return
+        for b in range(target // w[j] + 1):
+            for rest in degree_monomials(target - b * w[j], j + 1):
+                yield (b, *rest)
+
+    return [
+        tuple(b + (a[i] - 1) * (j == i) for j, b in enumerate(g))
+        for i in range(len(a))
+        for g in degree_monomials(w[i])
+    ]
 
 
 def sylvester_numerator(n, a):

@@ -15,10 +15,13 @@ from brieskorn import (
     PreconditionFailed,
     SEReport,
     SEVerdict,
+    enumerate_links,
+    family_sweep,
     lichnerowicz_obstructed,
     make_link,
     mean_euler,
     moduli_dimension,
+    parse_sweep_spec,
     principal_index,
     se_coprime_iff,
     se_status,
@@ -26,7 +29,12 @@ from brieskorn import (
 )
 from brieskorn import einstein, homology
 from brieskorn.tables import record_to_json_dict
-from oracles import count_weighted_monomials, sylvester_numerator
+from oracles import (
+    automorphism_monomials,
+    count_weighted_monomials,
+    stride_pruned_counts,
+    sylvester_numerator,
+)
 
 
 def test_sufficient_inequalities():
@@ -171,11 +179,13 @@ def test_count_perturbation_monomials_prunes_at_target():
 
 
 def test_moduli_counts_walk_the_half_over_the_key_cap(monkeypatch):
-    # the stride-pruned box of (2,12,18,24) has strides (1,1,3,2) and splits
-    # into halves of 24 and 72 points; with the key cap at 50 the 72-point
-    # half is walked instead of stored (the unpruned box, halves of 48 and
-    # 216 points, is not refused at that cap either)
-    link = make_link((2, 12, 18, 24))
+    # (2,15,20,24) has b-numbers (2,15,20,12), so its counts run over 0 <=
+    # c_j < beta_j at steps D / beta_j with D = 60 (d = 120); that box splits
+    # into halves of 40 and 180 points, and with the key cap at 50 the
+    # 180-point half, needing D + 1 = 61 keys, is walked instead of stored
+    # (the unpruned box, halves of 48 and 300 points, is not refused at that
+    # cap either)
+    link = make_link((2, 15, 20, 24))
     report = moduli_dimension(link)
     assert report.h0_degree == count_weighted_monomials(link.weights, link.degree)
     real, walked = einstein._lattice_halves, []
@@ -218,16 +228,14 @@ def test_h0_weight_sum_matches_the_dp():
 
 
 def test_h0_weight_sum_with_a_walked_half(monkeypatch):
-    # all h0(O(w_i)) come from the one kernel call, the one with target d
-    # that also counts the perturbations.  Give that call the smallest key
-    # cap it accepts: then the half with fewer keys is kept and the other is
-    # walked (unless both need as many).  Exponents from shared prime powers
-    # keep enough of the box for a half to be walked.
+    # all h0(O(w_i)) come from the one kernel call of the link's b-number
+    # class, the one that also counts the perturbations.  Give that call the
+    # smallest key cap it accepts: then the half with fewer keys is kept and
+    # the other is walked (unless both need as many).  Exponents from shared
+    # prime powers keep enough of the box for a half to be walked.
     real, walked = einstein._lattice_halves, []
 
     def spy(steps, ranges, modulus=None, target=None):
-        if target != link.degree:
-            return real(steps, ranges, modulus, target)
         saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
         try:
             kept, other = real(steps, ranges, modulus, target)
@@ -238,7 +246,7 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
 
     monkeypatch.setattr(einstein, "_lattice_halves", spy)
     hits = 0
-    for v in seeded_moduli_vectors(80, seed=1, pool=SHARED_PRIME_POWERS):
+    for v in seeded_moduli_vectors(160, seed=1, pool=SHARED_PRIME_POWERS):
         link = make_link(v)
         for cap in itertools.count(1):
             walked.clear()
@@ -251,6 +259,70 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
             assert report.h0_weight_sum == h0_weight_sum_by_dp(link), v
             hits += 1
     assert hits >= 30
+
+
+def moduli_multisets():
+    """The 10,627 vectors of the 4-multisets of 2..18, the 5-multisets of
+    2..10 and the 3-multisets of 2..30."""
+    return itertools.chain(
+        itertools.combinations_with_replacement(range(2, 19), 4),
+        itertools.combinations_with_replacement(range(2, 11), 5),
+        itertools.combinations_with_replacement(range(2, 31), 3),
+    )
+
+
+def counts_or_refusal(count, link):
+    try:
+        return count(link)
+    except BudgetExceeded:
+        return "refused"
+
+
+@pytest.mark.parametrize("keys, work, refused", [
+    (homology._MAX_HALF_KEYS, homology._MAX_HALF_WORK, 0),
+    (homology._MAX_HALF_KEYS, 64, 1297),
+    (100, 1000, 1075),  # d + 1 over the key cap: the unpruned box is judged
+])
+def test_class_counts_match_the_stride_pruned_box(monkeypatch, keys, work,
+                                                 refused):
+    # the count over the b-number class answers, or refuses, exactly as the
+    # stride-pruned box 0 <= b_j < a_j with target d does
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", keys)
+    monkeypatch.setattr(homology, "_MAX_HALF_WORK", work)
+    seen = 0
+    for v in moduli_multisets():
+        link = make_link(v)
+        want = counts_or_refusal(stride_pruned_counts, link)
+        assert counts_or_refusal(einstein._monomial_counts, link) == want, v
+        seen += want == "refused"
+    assert seen == refused
+
+
+def test_census_and_sweep_records_carry_the_fresh_moduli():
+    # records built under one class memo per census or sweep report what
+    # moduli_dimension computes afresh for each vector
+    for rec in enumerate_links(5, 18):
+        assert rec.moduli == moduli_dimension(make_link(rec.exponents))
+    for family in ("2,3,4,4+12k", "2,6,6,3+3k", "4,6,9,2+4k"):
+        for _, rec in family_sweep(parse_sweep_spec(family, "0..150")):
+            assert rec.moduli == moduli_dimension(make_link(rec.exponents))
+
+
+def test_automorphisms_remove_exactly_the_weight_sum():
+    # at the Fermat polynomial, z_i -> z_i + eps g (deg g = w_i) moves it
+    # along g z_i^(a_i - 1): there are h0_weight_sum of these monomials, and
+    # they are pairwise distinct exactly when the count is applicable, so
+    # kuranishi_dim is then the local moduli dimension
+    for v in moduli_multisets():
+        report = moduli_dimension(make_link(v))
+        monomials = automorphism_monomials(v)
+        assert len(monomials) == report.h0_weight_sum, v
+        assert (len(set(monomials)) == len(monomials)) == report.applicable, v
+    report = moduli_dimension(make_link((2, 3, 11, 11)))
+    extra = set(automorphism_monomials((2, 3, 11, 11))) - {
+        (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 11, 0), (0, 0, 0, 11)}
+    assert extra == {(0, 0, 10, 1), (0, 0, 1, 10)}
+    assert report.perturbation_count - len(extra) == report.kuranishi_dim
 
 
 @pytest.mark.parametrize("vec, counts", [

@@ -291,6 +291,17 @@ def mean_euler_by_signed_strata(vec):
     return Fraction(total, abs(principal_index(link)))
 
 
+def test_mean_euler_past_the_kept_lattice_shapes():
+    # past 8 exponents no mask rows are kept: mean_euler reads only the
+    # popcounts of the walk's masks, and the strata build the rows of their
+    # own masks alone
+    for v in [(2, 3, 4, 6, 8, 9, 12, 2, 5), (2, 2, 3, 4, 6, 8, 9, 12, 16, 18)]:
+        assert mean_euler(make_link(v)).value == mean_euler_by_signed_strata(v)
+    link = make_link(range(2, 20))  # 2^18 index subsets, the walk's budget
+    assert mean_euler(link).value == Fraction(640640210839, 240201518)
+    assert len(link.strata) == 951
+
+
 @pytest.mark.parametrize("top,length", [(18, 4), (10, 5)])
 def test_one_sign_sums_match_the_signed_strata_reference(top, length):
     # every 4-multiset of 2..18 and 5-multiset of 2..10 with mu_P != 0
