@@ -100,8 +100,8 @@ def _cmd_analyze(args, out):
             "degree": link.degree,
             "weights": list(link.weights),
             "recip_sum": str(link.recip_sum),
-            "middle_rank": middle_betti(link.exponents),
-            "chi_s1": chi_s1(link.exponents),
+            "middle_rank": middle_betti(link),
+            "chi_s1": chi_s1(link),
             "note": "classifiers, SE verdicts and chi_m need >= 3 exponents",
         }
         if args.json:

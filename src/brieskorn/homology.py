@@ -110,17 +110,17 @@ def quotient_betti(exponents):
     >>> quotient_betti((2, 2, 3, 3)).ranks
     (1, 0, 3, 0, 1)
     """
-    a = _as_link(exponents).exponents
-    kappa = middle_betti(a)
+    link = _as_link(exponents)
+    a = link.exponents
+    kappa = middle_betti(link)
     if len(a) == 2 and kappa != math.gcd(*a) - 1:
         raise InternalInconsistency(
             f"two-exponent middle rank {kappa} != gcd-1 = {math.gcd(*a) - 1}"
         )
     ranks = _quotient_ranks(len(a), kappa)
-    chi = sum(r if i % 2 == 0 else -r for i, r in enumerate(ranks))
     if len(a) > 2 and (ranks[0] != 1 or ranks[-1] != 1):
         raise InternalInconsistency("quotient must have b_0 = b_top = 1")
-    return QuotientBetti(ranks=ranks, chi=chi)
+    return QuotientBetti(ranks=ranks, chi=_quotient_chi(len(a), kappa))
 
 
 def _quotient_ranks(size, kappa):
@@ -436,7 +436,7 @@ def exotic_class_dim7(exponents):
     >>> exotic_class_dim7((2, 2, 2, 3, 5))
     1
     """
-    link = make_link(exponents)
+    link = _as_link(exponents)
     a = link.exponents
     if len(a) != 5:
         raise DimensionMismatch(

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, starmap, takewhile
+from itertools import compress
 
 from .errors import (
     BudgetExceeded,
@@ -51,6 +51,7 @@ from .errors import (
 from .homology import _quotient_chi, _quotient_ranks
 from .linkmodel import (
     _as_link,
+    _mask_exponents,
     _period_work,
     _stratum_periods,
     index_set,
@@ -274,23 +275,23 @@ def e1_page(link, k_lo, k_hi):
 
     Only columns that can meet [k_lo-1, k_hi+1] are built.  A column of
     period T spans degrees within n - 1 of T * mu_P / d, which bounds T to
-    [t_lo, t_hi].  Only strata of minimal period T_i <= t_hi, a prefix of
-    ``link.strata``, are read, each walking its multiples there but those an
-    outside exponent divides (they belong to a bigger stratum).  The cost
+    [t_lo, t_hi].  Only the walk's strata (``LinkProfile._strata_rows``) of
+    minimal period T_i <= t_hi are read, each walking its multiples there
+    but those an outside exponent divides (a bigger stratum's).  The cost
     grows with these candidate periods, about (k_hi - k_lo + 2n) * d /
     |mu_P| * sum 1/T_i over those strata, not with d alone; past 2^24 of
     them plus window degrees, BudgetExceeded is raised before any is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
     whose degree span meets [k_lo-1, k_hi+1], built as :class:`PageColumn`
-    objects only when ``columns`` is first read.
+    objects (exponents from the stratum's mask) when ``columns`` is read.
     """
     link = _as_link(link)
     if k_hi < k_lo:
         raise PreconditionFailed(
             f"empty degree window [{k_lo}, {k_hi}]"
         )
-    st = link.strata
+    rows = link._strata_rows
     mu_p = principal_index(link)
     if mu_p == 0:
         raise ZeroPrincipalIndex(
@@ -298,8 +299,8 @@ def e1_page(link, k_lo, k_hi):
             "not stabilize degree-wise"
         )
     lo_m, hi_m = k_lo - 1, k_hi + 1
-    n = len(link.exponents) - 1
-    d = link.degree
+    a, d = link.exponents, link.degree
+    n = len(a) - 1
     # shift(T) = T*mu_P/d + c with c in [1-n, n+3-2|I|], and a column spans
     # 2|I|-4 degrees past its shift: so every degree lies within n-1 of
     # T*mu_P/d, and [lo, hi] below bounds T*mu_P.
@@ -307,8 +308,8 @@ def e1_page(link, k_lo, k_hi):
     if mu_p < 0:
         lo, hi = hi, lo
     t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
-    st = tuple(takewhile(lambda s: s.min_period <= t_hi, st))
-    work = k_hi - k_lo + 1 + _period_work(st, t_lo, t_hi)
+    rows = [row for row in rows if row[1] <= t_hi]  # row[1] = lcm(a_S)
+    work = k_hi - k_lo + 1 + _period_work([row[1] for row in rows], t_lo, t_hi)
     if work > _MAX_PAGE_WORK:
         raise BudgetExceeded(
             f"first page of {link.exponents} in degrees [{k_lo}, {k_hi}] "
@@ -316,21 +317,21 @@ def e1_page(link, k_lo, k_hi):
             f"{_MAX_PAGE_WORK}"
         )
     found = []
-    for s in st:
-        size = len(s.exponents)
+    for s, p, _, kappa in rows:
+        size = s.bit_count()
         span = 2 * size - 4
         betti = None
-        for t in compress(*_stratum_periods(link, s, t_lo, t_hi)):
+        for t in compress(*_stratum_periods(a, p, t_lo, t_hi)):
             shift = _shift(link, size, t)
             if shift > hi_m or shift + span < lo_m:
                 continue
             if betti is None:
-                betti = _quotient_ranks(size, s.middle_rank)
-            found.append((t, s, shift, betti))
+                betti = _quotient_ranks(size, kappa)
+            found.append((t, s, p, shift, betti))
     found.sort(key=lambda e: e[0])
     ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
     first, last = {}, {}  # per margin degree, its first and last column's period
-    for t, s, shift, betti in found:
+    for t, _, _, shift, betti in found:
         for k, b in enumerate(betti, shift):
             if b and lo_m <= k <= hi_m:
                 first.setdefault(k, t)
@@ -344,14 +345,9 @@ def e1_page(link, k_lo, k_hi):
         period_degree=mu_p,
         period_action=d,
         lacunary=all(first.get(k - 1, t) >= t for k, t in last.items()),
-        columns=starmap(_page_column, found),
+        columns=(PageColumn(t, t // p, _mask_exponents(a, s), shift, betti)
+                 for t, s, p, shift, betti in found),
     )
-
-
-def _page_column(period, stratum, shift, betti):
-    """The :class:`PageColumn` of one column :func:`e1_page` found."""
-    return PageColumn(period, period // stratum.min_period, stratum.exponents,
-                      shift, betti)
 
 
 def sh_plus_ranks(link, k_lo, k_hi):
@@ -413,13 +409,14 @@ def mean_euler_from_ranks(link, strict=False):
         raise ZeroPrincipalIndex(
             f"principal index of {link.exponents} is zero"
         )
-    work = _period_work(link.strata, 1, link.degree)
+    a, d, rows = link.exponents, link.degree, link._strata_rows
+    work = _period_work([p for _, p, _, _ in rows], 1, d)
     if work > _MAX_PAGE_WORK:
-        raise BudgetExceeded(f"rank average of {link.exponents} sieves "
+        raise BudgetExceeded(f"rank average of {a} sieves "
                              f"{work} periods, over {_MAX_PAGE_WORK}")
-    alternating = sum(_stratum_periods(link, s, 1, link.degree)[1].count(1)
-                      * _quotient_chi(len(s.exponents), s.middle_rank)
-                      for s in link.strata)
+    alternating = sum(_stratum_periods(a, p, 1, d)[1].count(1)
+                      * _quotient_chi(s.bit_count(), kappa)
+                      for s, p, _, kappa in rows)
     if len(link.exponents) % 2:  # (-1)^shift, the same for every stratum
         alternating = -alternating
     width = abs(mu_p)

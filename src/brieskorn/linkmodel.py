@@ -100,7 +100,7 @@ class LinkProfile:
     The subset-lattice walk (:func:`_lattice_walk`), the Boyer-Galicki-Kollar
     numbers b_i and the reading of Brieskorn's gcd graph (an edge when
     gcd(a_i, a_j) > 1) are made on first use and shared by the invariants
-    handed the profile; the :class:`Stratum` tuple is a view of the walk.
+    handed the profile; the :class:`Stratum` tuple is a view of its rows.
     The graph is read off the b-numbers: as b_i = lcm_{j != i} gcd(a_i,
     a_j), i is isolated iff b_i = 1; a component of odd order >= 3 with all
     pairwise gcds 2 holds every even exponent (any two share 2) and no odd
@@ -139,20 +139,37 @@ class LinkProfile:
         """(lcms, counts, kappas) of :func:`_lattice_walk`."""
         return _lattice_walk(self)
 
+    @cached_property
+    def _strata_rows(self):
+        """(mask, lcm(a_S), E(S), kappa(S)) per stratum S of the walk, by mask."""
+        lcms, counts, kappas = self._lattice
+        return [(s, lcms[s], e, kappas[s])
+                for s, e in enumerate(counts) if e and s & (s - 1)]
+
     @property
     def canonical(self):
         return canonical_exponents(self.exponents)
 
     @cached_property
     def strata(self):
-        """The :class:`Stratum` tuple of :func:`_lattice_strata`, sorted by
-        minimal period; no two strata share one, as I_T depends on T alone."""
-        return _lattice_strata(self)
+        """All strata of the Reeb flow as :class:`Stratum` tuples, one per
+        row of :attr:`_strata_rows`, sorted by minimal period (the principal
+        stratum, at period d, last); no two strata share one, as I_T depends
+        on T alone."""
+        a = self.exponents
+        return tuple(sorted(
+            (Stratum(frozenset(j for j in range(len(a)) if s >> j & 1),
+                     _mask_exponents(a, s), p, 2 * s.bit_count() - 3, e, kappa)
+             for s, p, e, kappa in self._strata_rows),
+            key=itemgetter(2),  # by min_period
+        ))
 
 
-def _checked_exponents(exponents):
-    """``exponents`` as a tuple, after the checks :func:`make_link` makes."""
-    exponents = tuple(exponents)
+def _checked_exponents(link_or_exponents):
+    """A profile's exponents; a vector as a tuple, checked as make_link does."""
+    if isinstance(link_or_exponents, LinkProfile):
+        return link_or_exponents.exponents
+    exponents = tuple(link_or_exponents)
     if len(exponents) < 2:
         raise InvalidExponent(
             f"need at least two exponents, got {len(exponents)}"
@@ -232,19 +249,11 @@ class Stratum(NamedTuple):
 _MAX_SUBSETS = 1 << 18
 
 # Most index subsets of a lattice whose shape is kept.  The shape of the
-# lattice of n positions holds n * 2^(n-1) Moebius pairs, 2^n walk steps
-# and up to 2^n index sets: for 2^n <= 256 (n <= 8 exponents) all kept
-# shapes together are a few thousand small objects, while one for n = 18
-# would hold 2.4M pairs.  Past the cap a walk keeps nothing.
+# lattice of n positions holds n * 2^(n-1) Moebius pairs and 2^n walk steps:
+# for 2^n <= 256 (n <= 8 exponents) all kept shapes are a few thousand small
+# tuples, while one for n = 18 would hold 2.4M pairs.  Past it, none is kept.
 _MAX_KEPT_SHAPE = 1 << 8
-_LATTICE_SHAPES = {}  # n -> (Moebius pairs, walk steps, mask rows), n <= 8
-
-
-def _mask_shape(n, s):
-    """(size, index frozenset, sub-exponent getter) of the index subset of
-    n positions with bit mask s, |S| >= 2."""
-    idx = [j for j in range(n) if s >> j & 1]
-    return len(idx), frozenset(idx), itemgetter(*idx)
+_LATTICE_SHAPES = {}  # n -> (Moebius pairs, walk steps), n <= 8
 
 
 def _moebius_pairs(n):
@@ -260,27 +269,24 @@ def _moebius_pairs(n):
 
 def _lattice_shape(n):
     """The plan of a walk over the subset lattice of n positions, which
-    depends on n alone: its Moebius pairs; for each mask S > 0 in order,
-    the walk step (S minus its lowest index, that index); and for each mask
-    with |S| >= 2, the row (S, *:func:`_mask_shape`).  Shared by every link
-    with n exponents when 2^n <= 256; larger arities get generators and no
-    rows, so a walk keeps no state."""
+    depends on n alone: its Moebius pairs, and for each mask S > 0 in order
+    the walk step (S minus its lowest index, that index).  Shared by every
+    link with n exponents when 2^n <= 256; larger arities get generators,
+    so a walk keeps no state."""
     shape = _LATTICE_SHAPES.get(n)
     if shape is not None:
         return shape
     steps = ((s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, 1 << n))
     if 1 << n > _MAX_KEPT_SHAPE:
-        return _moebius_pairs(n), steps, None
-    rows = ((s, *_mask_shape(n, s)) for s in range(1 << n) if s & (s - 1))
-    plan = _moebius_pairs(n), steps, rows
-    return _LATTICE_SHAPES.setdefault(n, tuple(map(tuple, plan)))
+        return _moebius_pairs(n), steps
+    return _LATTICE_SHAPES.setdefault(n, (tuple(_moebius_pairs(n)), tuple(steps)))
 
 
 def _lattice_walk(link):
     """(lcms, counts, kappas), each a list indexed by the bit mask of an
     index subset S: lcm(a_S), E(S) = #{1 <= T <= d : I_T = S} and kappa(S),
     the sub-link's middle Betti number; the principal stratum is the last
-    entry of each.
+    entry of each; its strata are the rows ``LinkProfile._strata_rows``.
 
     One walk over the 2^(n+1) subsets, taken over positions: with R the
     set S minus its lowest index j and g = gcd(lcm(a_R), a_j), lcm(a_S) is
@@ -300,7 +306,7 @@ def _lattice_walk(link):
         )
     if 1 << len(a) > _MAX_SUBSETS:
         raise BudgetExceeded(f"2^{len(a)} index subsets, over {_MAX_SUBSETS}")
-    pairs, steps, _ = _lattice_shape(len(a))
+    pairs, steps = _lattice_shape(len(a))
     lcms, kappas = [1], [1]  # indexed by the bit mask of S
     for rest, j in steps:
         t = lcms[rest]
@@ -319,20 +325,9 @@ def _lattice_walk(link):
     return lcms, counts, kappas
 
 
-def _lattice_strata(link):
-    """All strata of the Reeb flow, as :class:`Stratum` tuples sorted by
-    minimal period (the principal stratum, at period d, last): the index
-    subsets S with |S| >= 2 and E(S) > 0 of the profile's walk
-    (``LinkProfile._lattice``), with the rows of :func:`_lattice_shape`."""
-    a, n = link.exponents, len(link.exponents)
-    lcms, counts, kappas = link._lattice
-    rows = _lattice_shape(n)[2] or (  # past the kept shapes, strata alone
-        (s, *_mask_shape(n, s)) for s, e in enumerate(counts) if e and s & (s - 1))
-    return tuple(sorted(
-        (Stratum(index_set, getter(a), lcms[s], 2 * k - 3, counts[s], kappas[s])
-         for s, k, index_set, getter in rows if counts[s]),
-        key=itemgetter(2),  # by min_period
-    ))
+def _mask_exponents(exponents, mask):
+    """The exponents a_j whose bit j is set in ``mask``, in index order."""
+    return tuple(a for j, a in enumerate(exponents) if mask >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -349,25 +344,24 @@ class PeriodSpectrum:
     principal_period: int
 
 
-def _stratum_periods(link, stratum, start, stop):
-    """The periods in [start, stop] labelled by ``stratum`` S, as a pair:
-    the range of multiples k * p of its minimal period p there, and a
-    bytearray holding, per multiple, 1 when no exponent outside S divides
-    it (for those, and only those, I_T is S's index set) and 0 otherwise.
-    ``itertools.compress`` of the pair walks them in order; ``count(1)`` of
-    the bytearray counts them.
+def _stratum_periods(exponents, p, start, stop):
+    """The periods in [start, stop] labelled by the stratum S of minimal
+    period p of the link with these ``exponents``, as a pair: the range of
+    multiples k * p there, and a bytearray holding, per multiple, 1 when no
+    exponent outside S divides it (for those, and only those, I_T is S) and
+    0 otherwise.  ``itertools.compress`` of the pair walks them in order;
+    ``count(1)`` of the bytearray counts them.
 
     A sieve: the exponents outside S are those that do not divide p, as S
     is I_p, and such an a divides k * p exactly when a / gcd(a, p) divides
     k, so each clears its multiples by one slice assignment.  The work is
     one byte per candidate period.
     """
-    p = stratum.min_period
     first = -(-start // p)
     periods = range(first * p, stop + 1, p)
     n = len(periods)
     keep = bytearray(b"\x01") * n
-    for a in link.exponents:
+    for a in exponents:
         if p % a:
             step = a // math.gcd(a, p)
             i = -first % step  # k = first + i is the first multiple of step
@@ -375,13 +369,12 @@ def _stratum_periods(link, stratum, start, stop):
     return periods, keep
 
 
-def _period_work(strata, start, stop):
-    """Candidate periods in [start, stop] over ``strata``, the multiples of
-    their minimal periods there: :func:`_stratum_periods` sieves one byte
-    per candidate, and every walk checks this against its bound first."""
+def _period_work(periods, start, stop):
+    """Candidate periods in [start, stop], the multiples there of each of
+    the minimal ``periods``: :func:`_stratum_periods` sieves one byte per
+    candidate, and every walk checks this against its bound first."""
     before = start - 1  # each term is <= 0 when stop < start
-    return max(0, sum(stop // s.min_period - before // s.min_period
-                      for s in strata))
+    return max(0, sum(stop // p - before // p for p in periods))
 
 
 # Most candidate periods, sum d/T_i, the spectrum may hold.  An entry costs
@@ -403,15 +396,15 @@ def period_spectrum(link):
     is raised before any entry is built.
     """
     link = _as_link(link)
-    d = link.degree
-    work = _period_work(link.strata, 1, d)
+    a, d = link.exponents, link.degree
+    work = _period_work((s.min_period for s in link.strata), 1, d)
     if work > _MAX_SPECTRUM_ENTRIES:
         raise BudgetExceeded(
             f"period spectrum of {link.exponents} has up to {work} entries, "
             f"over {_MAX_SPECTRUM_ENTRIES}"
         )
     entries = [(t, s) for s in link.strata
-               for t in compress(*_stratum_periods(link, s, 1, d))]
+               for t in compress(*_stratum_periods(a, s.min_period, 1, d))]
     entries.sort(key=lambda e: e[0])
     return PeriodSpectrum(entries=tuple(entries), principal_period=d)
 

@@ -791,7 +791,7 @@ def cached_record(exponents, *, with_sig7=False, with_sh0=False):
     read, decode or fit is a miss, recomputed and rewritten atomically
     (temp file + rename).
     """
-    link = make_link(exponents)
+    link = _as_link(exponents)
     root = os.environ.get(CACHE_ENV)
     if not root or not with_sig7 or len(link.exponents) != 5:
         return build_record(link, with_sig7=with_sig7, with_sh0=with_sh0)

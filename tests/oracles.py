@@ -14,7 +14,8 @@ the tests compare it against:
   reduces to a count of the b-number class;
 * :func:`automorphism_monomials`, the monomials g z_i^(a_i - 1) along which
   the graded automorphisms move the Fermat polynomial, as many as
-  ``ModuliReport.h0_weight_sum`` counts;
+  ``ModuliReport.h0_weight_sum`` counts, and :func:`automorphism_rank`,
+  the rank of that action at a random polynomial;
 * :func:`sylvester_numerator`, the closed-form chi_m * |mu_P| of the
   Sylvester links, which the package sums over the stratum table
   (``mean_euler``);
@@ -27,6 +28,7 @@ the tests compare it against:
 from __future__ import annotations
 
 import math
+import random
 from collections import defaultdict
 from itertools import combinations
 
@@ -167,6 +169,17 @@ def stride_pruned_counts(link):
     return perturbations, h0_w
 
 
+def _monomials_of_weight(weights, target, j=0):
+    """Exponent tuples b >= 0 with sum b_k * weights[k] (k >= j) = target."""
+    if j == len(weights):
+        if target == 0:
+            yield ()
+        return
+    for b in range(target // weights[j] + 1):
+        for rest in _monomials_of_weight(weights, target - b * weights[j], j + 1):
+            yield (b, *rest)
+
+
 def automorphism_monomials(exponents):
     """The monomials g z_i^(a_i - 1), g of weighted degree w_i, as exponent
     tuples in a list (with repeats): the directions in which z_i -> z_i +
@@ -180,21 +193,53 @@ def automorphism_monomials(exponents):
     a = tuple(exponents)
     d = math.lcm(*a)
     w = [d // aj for aj in a]
-
-    def degree_monomials(target, j=0):  # exponent tuples of weight target
-        if j == len(w):
-            if target == 0:
-                yield ()
-            return
-        for b in range(target // w[j] + 1):
-            for rest in degree_monomials(target - b * w[j], j + 1):
-                yield (b, *rest)
-
     return [
         tuple(b + (a[i] - 1) * (j == i) for j, b in enumerate(g))
         for i in range(len(a))
-        for g in degree_monomials(w[i])
+        for g in _monomials_of_weight(w, w[i])
     ]
+
+
+_PRIME = (1 << 61) - 1
+
+
+def automorphism_rank(exponents):
+    """Rank, mod the prime 2^61 - 1, of the graded automorphisms' action at
+    a random polynomial f of weighted degree d: the span of g * df/dz_i
+    over the indices i and the monomials g of weighted degree w_i, by
+    Gaussian elimination.  f has a coefficient drawn from seed 0 on
+    every monomial of degree d.  The generic rank is at least the rank at
+    the Fermat point, whose directions are :func:`automorphism_monomials`,
+    and at most their number.
+
+    >>> automorphism_rank((2, 3, 11, 11))
+    6
+    """
+    a = tuple(exponents)
+    d = math.lcm(*a)
+    w = [d // aj for aj in a]
+    rng = random.Random(0)
+    f = {m: rng.randrange(1, _PRIME) for m in _monomials_of_weight(w, d)}
+    pivots = {}  # leading monomial -> row with that lead, lead coefficient 1
+    for i in range(len(a)):
+        for g in _monomials_of_weight(w, w[i]):
+            row = defaultdict(int)  # g * df/dz_i, by monomial
+            for m, c in f.items():
+                if m[i]:
+                    key = tuple(x + y - (j == i) for j, (x, y) in enumerate(zip(m, g)))
+                    row[key] = (row[key] + c * m[i]) % _PRIME
+            row = {k: v for k, v in row.items() if v}
+            while row:
+                lead = max(row)
+                if lead not in pivots:
+                    inverse = pow(row[lead], -1, _PRIME)
+                    pivots[lead] = {k: v * inverse % _PRIME for k, v in row.items()}
+                    break
+                c = row[lead]  # clear the lead; the pivot's other keys are below it
+                for k, v in pivots[lead].items():
+                    row[k] = (row.get(k, 0) - c * v) % _PRIME
+                row = {k: v for k, v in row.items() if v}
+    return len(pivots)
 
 
 def sylvester_numerator(n, a):

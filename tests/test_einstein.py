@@ -31,6 +31,7 @@ from brieskorn import einstein, homology
 from brieskorn.tables import record_to_json_dict
 from oracles import (
     automorphism_monomials,
+    automorphism_rank,
     count_weighted_monomials,
     stride_pruned_counts,
     sylvester_numerator,
@@ -323,6 +324,22 @@ def test_automorphisms_remove_exactly_the_weight_sum():
         (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 11, 0), (0, 0, 0, 11)}
     assert extra == {(0, 0, 10, 1), (0, 0, 1, 10)}
     assert report.perturbation_count - len(extra) == report.kuranishi_dim
+
+
+def test_automorphism_rank_at_a_random_polynomial_is_the_weight_sum():
+    # a second check of the moduli reading: at a random f (mod 2^61 - 1),
+    # the automorphisms move f in h0_weight_sum independent directions
+    # wherever the count is applicable, so the orbit has full dimension;
+    # where it is not, (2, 2, 2, 2) moves only 10 of 16 (O(4) fixes a quadric)
+    checked = 0
+    for v in itertools.combinations_with_replacement(range(2, 13), 4):
+        report = moduli_dimension(make_link(v))
+        if report.applicable and report.h0_degree <= 500:
+            assert automorphism_rank(v) == report.h0_weight_sum, v
+            checked += 1
+    assert checked == 935
+    assert automorphism_rank((2, 2, 2, 2)) == 10
+    assert moduli_dimension(make_link((2, 2, 2, 2))).h0_weight_sum == 16
 
 
 @pytest.mark.parametrize("vec, counts", [

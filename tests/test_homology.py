@@ -196,7 +196,12 @@ def test_quotient_betti_threefold_case():
 
 
 def test_quotient_betti_chi_is_alternating_sum():
-    for v in [(2, 3), (5, 5), (2, 3, 4), (4, 4, 4), (2, 3, 4, 16), (2, 2, 3, 3)]:
+    # chi is the closed form (q + 1) +- kappa; the multisets of {2, 3, 4, 6}
+    # pin it to the ranks for 2 to 7 exponents and many middle ranks
+    small = [v for n in range(2, 8)
+             for v in itertools.combinations_with_replacement((2, 3, 4, 6), n)]
+    for v in [(2, 3), (5, 5), (2, 3, 4), (4, 4, 4), (2, 3, 4, 16), (2, 2, 3, 3),
+              *small]:
         qb = quotient_betti(v)
         assert qb.chi == sum((-1) ** i * r for i, r in enumerate(qb.ranks))
         assert qb.chi == chi_s1(v)

@@ -292,9 +292,8 @@ def mean_euler_by_signed_strata(vec):
 
 
 def test_mean_euler_past_the_kept_lattice_shapes():
-    # past 8 exponents no mask rows are kept: mean_euler reads only the
-    # popcounts of the walk's masks, and the strata build the rows of their
-    # own masks alone
+    # past 8 exponents no lattice shape is kept: mean_euler reads only the
+    # popcounts of the walk's masks, and the strata are the walk's rows
     for v in [(2, 3, 4, 6, 8, 9, 12, 2, 5), (2, 2, 3, 4, 6, 8, 9, 12, 16, 18)]:
         assert mean_euler(make_link(v)).value == mean_euler_by_signed_strata(v)
     link = make_link(range(2, 20))  # 2^18 index subsets, the walk's budget
@@ -385,13 +384,44 @@ def test_page_reads_only_strata_that_reach_the_window(monkeypatch, v):
     walked = []
     stratum_periods = invariants._stratum_periods
 
-    def counting_stratum_periods(link, stratum, t_lo, t_hi):
-        walked.append(stratum)
-        return stratum_periods(link, stratum, t_lo, t_hi)
+    def counting_stratum_periods(exponents, period, t_lo, t_hi):
+        walked.append(period)
+        return stratum_periods(exponents, period, t_lo, t_hi)
 
     monkeypatch.setattr(invariants, "_stratum_periods", counting_stratum_periods)
     assert sh_plus_ranks(link, 0, 0) == e1_page_by_blocks(link, 0, 0)
-    assert walked == reachable
+    assert sorted(walked) == [s.min_period for s in reachable]
+
+
+def test_page_rank_average_and_collide_build_no_stratum(monkeypatch):
+    # they read the rows of the profile's walk; only LinkProfile.strata
+    # builds Stratum tuples
+    from brieskorn import enumerate_links, find_mec_collisions, linkmodel
+
+    built = []
+    stratum = linkmodel.Stratum
+
+    def counting_stratum(*args):
+        built.append(args)
+        return stratum(*args)
+
+    monkeypatch.setattr(linkmodel, "Stratum", counting_stratum)
+    for v in [(2, 3, 7, 22), (3, 3, 4, 7), (2, 3, 5, 7), (2, 2, 2, 3, 5)]:
+        assert sh_plus_ranks(make_link(v), -3, 3).columns
+        assert mean_euler_from_ranks(make_link(v)) == mean_euler(make_link(v))
+        strict = mean_euler_from_ranks(make_link(v), strict=True)
+        assert strict == mean_euler(make_link(v))
+    groups = find_mec_collisions(enumerate_links(5, 12))
+    assert groups and built == []
+    assert len(make_link((2, 3, 4, 16)).strata) == len(built) == 5
+
+
+def test_page_columns_match_the_block_reference_on_small_multisets():
+    for v in combinations_with_replacement(range(2, 13), 4):
+        link = make_link(v)
+        if principal_index(link) != 0:
+            assert e1_page(link, -2, 2).columns == (
+                e1_page_by_blocks(link, -2, 2).columns), v
 
 
 def test_page_vanishes_below_minimal_shift():

@@ -39,7 +39,7 @@ from brieskorn import (
     sylvester_sequence,
 )
 from brieskorn.homology import _quotient_chi
-from brieskorn.linkmodel import _lattice_strata, _stratum_periods
+from brieskorn.linkmodel import _stratum_periods
 from oracles import count_weighted_monomials, phi
 from test_einstein import SHARED_PRIME_POWERS, se_status_by_fractions
 from test_homology import sig_by_fractions
@@ -113,8 +113,7 @@ def test_lattice_count_is_phi_and_the_spectrum_count(vec):
     # phi against the larger strata periods and its number of spectrum
     # entries; the spectrum is listed only while it stays small
     link = make_link(vec)
-    rows = _lattice_strata(link)
-    assert rows == link.strata
+    rows = link.strata
     periods = [s.min_period for s in rows]
     assert periods == sorted(periods)
     for k, s in enumerate(rows):
@@ -136,7 +135,7 @@ def test_sieve_count_is_the_lattice_count(vec):
     # multiples; small exponents make repeats, so strata of several sizes
     link = make_link(vec)
     sieved = {
-        s.index_set: _stratum_periods(link, s, 1, link.degree)[1].count(1)
+        s.index_set: _stratum_periods(vec, s.min_period, 1, link.degree)[1].count(1)
         for s in link.strata
     }
     assert sieved == {s.index_set: s.period_count for s in link.strata}
@@ -162,7 +161,8 @@ def test_stratum_periods_are_the_periods_each_stratum_labels(vec, at, width):
     window = range(start, stop + 1)
     labels = [index_set(link, t) for t in window]
     for s in link.strata:
-        periods = itertools.compress(*_stratum_periods(link, s, start, stop))
+        periods = itertools.compress(
+            *_stratum_periods(vec, s.min_period, start, stop))
         assert list(periods) == [
             t for t, label in zip(window, labels) if label == s.index_set
         ], (s.index_set, start, stop)
@@ -173,7 +173,7 @@ def test_stratum_periods_are_the_periods_each_stratum_labels(vec, at, width):
 def test_lattice_rows_are_the_betti_oracles(vec):
     # small exponents make repeats, and so strata of several sizes, common
     link = make_link(vec)
-    for s in _lattice_strata(link):
+    for s in link.strata:
         sub = tuple(vec[j] for j in sorted(s.index_set))
         assert s.middle_rank == middle_betti(sub)
         assert _quotient_chi(len(sub), s.middle_rank) == quotient_betti(sub).chi

@@ -780,6 +780,25 @@ def test_cached_record_makes_one_link_per_call(tmp_path, monkeypatch):
     assert cold == warm == build_record((5, 2, 2, 3, 2), **SIG7)
 
 
+@pytest.mark.parametrize("cache", [False, True])
+def test_dim7_functions_take_a_link_profile(tmp_path, monkeypatch, cache):
+    # functions that take a link accept the LinkProfile of make_link as well
+    # as the plain vector, with the same answer
+    if cache:
+        monkeypatch.setenv("BRIESKORN_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("BRIESKORN_CACHE_DIR", raising=False)
+    for v in [(2, 2, 2, 3, 5), (5, 2, 2, 3, 2), (2, 3, 5, 7, 11)]:
+        link = make_link(v)
+        assert homology.milnor_signature_dim7(link) == (
+            homology.milnor_signature_dim7(v))
+        if homology.is_homotopy_sphere(v):
+            assert homology.exotic_class_dim7(link) == (
+                homology.exotic_class_dim7(v))
+        assert cached_record(link, **SIG7) == cached_record(v, **SIG7)
+        assert cached_record(link) == cached_record(v) == build_record(v)
+
+
 def test_cached_record_survives_corruption(tmp_path, monkeypatch):
     # a file that will not decode as JSON, or holds no int, is a miss and is
     # rewritten with the signature
