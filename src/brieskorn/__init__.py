@@ -9,8 +9,8 @@ rational arithmetic throughout:
 * graded equivariant rank tables over any degree window;
 * integral homology data (Brieskorn-Milnor): middle Betti rank, homotopy
   and rational-homology sphere tests, the dimension-5 diffeomorphism type
-  (Smale classification), and the dimension-7 Milnor signature with its
-  exotic-sphere class in bP_8;
+  where recognized (spheres, L(2,2,p,q), five residue families), and the
+  dimension-7 Milnor signature with its exotic-sphere class in bP_8;
 * Sasaki-Einstein existence verdicts (Boyer-Galicki-Kollar sufficient
   bounds, the pairwise-coprime characterization of
   Ghigi-Kollar, and the Lichnerowicz-type obstruction of

@@ -160,6 +160,14 @@ def principal_index(link):
     return 2 * (sum(link.weights) - link.degree)
 
 
+def _nonzero_principal_index(link):
+    """mu_P of a profile; ZeroPrincipalIndex when it is zero."""
+    mu_p = principal_index(link)
+    if mu_p == 0:
+        raise ZeroPrincipalIndex(f"principal index of {link.exponents} is zero")
+    return mu_p
+
+
 @dataclass(frozen=True)
 class MeanEuler:
     """Mean Euler characteristic, as an exact rational."""
@@ -187,11 +195,7 @@ def mean_euler(link):
     Fraction(3, 2)
     """
     link = _as_link(link)
-    mu_p = principal_index(link)
-    if mu_p == 0:
-        raise ZeroPrincipalIndex(
-            f"principal index of {link.exponents} is zero"
-        )
+    mu_p = _nonzero_principal_index(link)
     _, counts, kappas = link._lattice
     numerator = sum(e * _quotient_chi(s.bit_count(), kappas[s])
                     for s, e in enumerate(counts) if e and s & (s - 1))
@@ -283,8 +287,9 @@ def e1_page(link, k_lo, k_hi):
     them plus window degrees, BudgetExceeded is raised before any is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
-    whose degree span meets [k_lo-1, k_hi+1], built as :class:`PageColumn`
-    objects (exponents from the stratum's mask) when ``columns`` is read.
+    whose degree span meets [k_lo-1, k_hi+1], sorted by period and built
+    as :class:`PageColumn` objects (exponents from the stratum's mask) when
+    ``columns`` is read.
     """
     link = _as_link(link)
     if k_hi < k_lo:
@@ -292,12 +297,7 @@ def e1_page(link, k_lo, k_hi):
             f"empty degree window [{k_lo}, {k_hi}]"
         )
     rows = link._strata_rows
-    mu_p = principal_index(link)
-    if mu_p == 0:
-        raise ZeroPrincipalIndex(
-            f"principal index of {link.exponents} is zero; the page does "
-            "not stabilize degree-wise"
-        )
+    mu_p = _nonzero_principal_index(link)
     lo_m, hi_m = k_lo - 1, k_hi + 1
     a, d = link.exponents, link.degree
     n = len(a) - 1
@@ -316,7 +316,8 @@ def e1_page(link, k_lo, k_hi):
             f"needs {work} degrees and candidate periods, over "
             f"{_MAX_PAGE_WORK}"
         )
-    found = []
+    found, ranks = [], {k: 0 for k in range(k_lo, k_hi + 1)}
+    first, last = {}, {}  # per margin degree, its least and greatest period
     for s, p, _, kappa in rows:
         size = s.bit_count()
         span = 2 * size - 4
@@ -328,16 +329,14 @@ def e1_page(link, k_lo, k_hi):
             if betti is None:
                 betti = _quotient_ranks(size, kappa)
             found.append((t, s, p, shift, betti))
-    found.sort(key=lambda e: e[0])
-    ranks = {k: 0 for k in range(k_lo, k_hi + 1)}
-    first, last = {}, {}  # per margin degree, its first and last column's period
-    for t, _, _, shift, betti in found:
-        for k, b in enumerate(betti, shift):
-            if b and lo_m <= k <= hi_m:
-                first.setdefault(k, t)
-                last[k] = t
-                if k_lo <= k <= k_hi:
-                    ranks[k] += b
+            for k, b in enumerate(betti, shift):
+                if b and lo_m <= k <= hi_m:
+                    if first.setdefault(k, t) > t:
+                        first[k] = t
+                    if last.setdefault(k, t) < t:
+                        last[k] = t
+                    if k_lo <= k <= k_hi:
+                        ranks[k] += b
     return GradedRanks(
         k_lo=k_lo,
         k_hi=k_hi,
@@ -345,8 +344,9 @@ def e1_page(link, k_lo, k_hi):
         period_degree=mu_p,
         period_action=d,
         lacunary=all(first.get(k - 1, t) >= t for k, t in last.items()),
+        # (found,) binds now; the sort by period waits for .columns
         columns=(PageColumn(t, t // p, _mask_exponents(a, s), shift, betti)
-                 for t, s, p, shift, betti in found),
+                 for cols in (found,) for t, s, p, shift, betti in sorted(cols)),
     )
 
 
@@ -404,11 +404,7 @@ def mean_euler_from_ranks(link, strict=False):
     Fraction(25, 14)
     """
     link = _as_link(link)
-    mu_p = principal_index(link)
-    if mu_p == 0:
-        raise ZeroPrincipalIndex(
-            f"principal index of {link.exponents} is zero"
-        )
+    mu_p = _nonzero_principal_index(link)
     a, d, rows = link.exponents, link.degree, link._strata_rows
     work = _period_work([p for _, p, _, _ in rows], 1, d)
     if work > _MAX_PAGE_WORK:

@@ -39,7 +39,6 @@ from .einstein import (
     se_status,
 )
 from .homology import (
-    Dim5Kind,
     Dim5Type,
     diffeo_type_dim5,
     is_homotopy_sphere,
@@ -132,10 +131,8 @@ def _build_records(vectors, *, with_sig7=False, with_sh0=False):
               for link, mu_p in zip(links, mu_ps)]
     d5s = [diffeo_type_dim5(link) if n1 == 4 else None
            for link, n1 in zip(links, sizes)]
-    # the dim-5 classification's first branch is the homotopy-sphere test
-    spheres = [d5.kind is Dim5Kind.SPHERE if d5 else
-               (is_homotopy_sphere(link) if n1 > 4 else None)
-               for link, n1, d5 in zip(links, sizes, d5s)]
+    spheres = [is_homotopy_sphere(link) if n1 >= 4 else None
+               for link, n1 in zip(links, sizes)]
     rhss = [is_rational_homology_sphere(link) if n1 >= 4 else None
             for link, n1 in zip(links, sizes)]
     sig7s = [milnor_signature_dim7(link.exponents)

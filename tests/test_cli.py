@@ -37,6 +37,17 @@ def test_analyze_two_exponents_is_partial_but_fine(capsys):
     assert code == 0
     assert "degree" in out and "middle_rank" in out
     assert "note" in out
+    code, out, _ = run_cli(capsys, "analyze", "2,4", "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["middle_rank"], d["chi_s1"]) == (1, 2)
+    assert d["note"] == "classifiers, SE verdicts and chi_m need >= 3 exponents"
+    # three exponents: the sphere tests need four, so they print "-"
+    code, out, _ = run_cli(capsys, "analyze", "2,3,6")
+    assert code == 0
+    lines = out.splitlines()
+    assert "homotopy_sphere           -" in lines
+    assert "rational_homology_sphere  -" in lines
 
 
 def test_analyze_json(capsys):
@@ -147,6 +158,23 @@ def test_collide_stdout_pin(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6127d288bebe45709d38679a2a85cb5bc74159d8408e14f07a6648ad601abf39"
     )
+
+
+def test_collide_json_lines(capsys):
+    # one JSON object a line, one line for each chi_m group of the text
+    census = ("collide", "--dim", "5", "--max-exponent", "22")
+    code, out, _ = run_cli(capsys, *census, "--json")
+    assert code == 0
+    lines = out.splitlines()
+    assert len([json.loads(line) for line in lines]) == 1017
+    _, text, _ = run_cli(capsys, *census)
+    assert sum(line.startswith("chi_m = ")
+               for line in text.splitlines()) == len(lines)
+    assert [line for line in lines if '"77/10"' in line] == [
+        '{"chi_m": "77/10", "members": [[2, 3, 7, 22], [3, 3, 4, 7]], '
+        '"clusters": [{"ranks": [6], "members": [[2, 3, 7, 22]]}, '
+        '{"ranks": [7], "members": [[3, 3, 4, 7]]}]}'
+    ]
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -524,9 +552,15 @@ def test_collide_no_collisions(tmp_path, capsys):
     assert out == "no collisions\n"
 
 
+# 2, 4, ..., 2^18, 2^18: mu_P = 0, and 19 exponents
+_ZERO_MU_P_19 = ",".join(str(2**i) for i in [*range(1, 19), 18])
+
+
 def test_exit_code_validation(capsys):
     assert run_cli(capsys, "mec", "2,x,4")[0] == 2
     assert run_cli(capsys, "mec", "2,4,6,12")[0] == 2
+    # mu_P = 0 is refused before the 2^19 index subsets are refused
+    assert run_cli(capsys, "mec", _ZERO_MU_P_19)[0] == 2
     # the invalid first instance is caught before any row or CSV header
     for fmt in ((), ("--csv",)):
         code, out, _ = run_cli(capsys, "sweep", "2,3,5,1+30k", "0..5", *fmt)
@@ -573,9 +607,11 @@ def test_exit_code_budget_oversize_first_page():
 @pytest.mark.parametrize("argv", [
     ("mec", ",".join(["2"] * 26)),
     ("analyze", ",".join(["3"] * 24)),
+    # the page walks its strata before it checks mu_P
+    ("sh-ranks", _ZERO_MU_P_19, "0", "0"),
 ])
 def test_exit_code_budget_too_many_index_subsets(capsys, argv):
-    # 2^26 and 2^24 index subsets: the subset lattice refuses before
+    # 2^26, 2^24 and 2^19 index subsets: the subset lattice refuses before
     # allocating its lists, instead of a MemoryError or a minutes-long walk
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)

@@ -12,6 +12,7 @@ import pytest
 from brieskorn import (
     BudgetExceeded,
     CoprimeVerdict,
+    DimensionTooLow,
     PreconditionFailed,
     SEReport,
     SEVerdict,
@@ -72,6 +73,8 @@ def test_verdicts():
     r = se_status(make_link((2, 2, 2, 3)))
     assert r.verdict is SEVerdict.UNKNOWN
     assert not r.lichnerowicz_obstructed
+    with pytest.raises(DimensionTooLow):
+        se_status(make_link((2, 3)))
 
 
 def test_report_json_shape():

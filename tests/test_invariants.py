@@ -252,6 +252,8 @@ def test_mean_euler_needs_nonzero_principal_index():
     for v in [(2, 4, 6, 12), (2, 3, 6), (2, 4, 4)]:
         with pytest.raises(ZeroPrincipalIndex):
             mean_euler(make_link(v))
+        with pytest.raises(ZeroPrincipalIndex):
+            mean_euler_from_ranks(make_link(v))
 
 
 def test_mean_euler_needs_three_exponents():

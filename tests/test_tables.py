@@ -188,6 +188,7 @@ def test_parse_sweep_spec():
 
 @pytest.mark.parametrize("family,k_range", [
     ("2,3,4", "0..5"),          # no slot
+    ("2,3+1k", "0..5"),         # two entries
     ("2,3+1k,4+2k", "0..5"),    # two slots
     ("2,3,4+12q", "0..5"),      # bad slot syntax
     ("2,3,4+12k", "5..0"),      # empty range
@@ -353,6 +354,10 @@ def test_csv_import_cross_checks_cells(tmp_path, sample_records):
     cells[4] = "999/7"  # tamper with chi_m
     (tmp_path / "bad.csv").write_text("\n".join([lines[0], ";".join(cells)]) + "\n")
     with pytest.raises(SchemaError):
+        import_records(tmp_path / "bad.csv")
+    cells[4], cells[0] = lines[1].split(";")[4], "2,x,4,5"
+    (tmp_path / "bad.csv").write_text("\n".join([lines[0], ";".join(cells)]) + "\n")
+    with pytest.raises(SchemaError, match="bad exponents cell '2,x,4,5'"):
         import_records(tmp_path / "bad.csv")
 
 
@@ -624,6 +629,9 @@ def test_jsonl_rejects_malformed_lines(tmp_path):
     (tmp_path / "bad2.jsonl").write_text('{"exponents": [2, 3, 4, 16]}\n')
     with pytest.raises(SchemaError):
         import_records(tmp_path / "bad2.jsonl")
+    (tmp_path / "bad3.jsonl").write_text("[2, 3, 4]\n")
+    with pytest.raises(SchemaError, match="a record is a JSON object"):
+        import_records(tmp_path / "bad3.jsonl")
 
 
 def test_empty_exports(tmp_path):
@@ -677,6 +685,9 @@ def test_export_follows_a_symlink_and_writes_through_a_pipe(tmp_path,
 def test_format_inference(tmp_path, sample_records):
     with pytest.raises(PreconditionFailed):
         export_records(sample_records, tmp_path / "records.xlsx")
+    with pytest.raises(PreconditionFailed, match="unknown format 'xml'"):
+        export_records(sample_records, tmp_path / "records.csv", fmt="xml")
+    assert list(tmp_path.iterdir()) == []
     export_records(sample_records, tmp_path / "records.txt", fmt="jsonl")
     assert import_records(tmp_path / "records.txt", fmt="jsonl") == sample_records
 
