@@ -317,9 +317,11 @@ _MAX_HALF_WORK = 1 << 24
 
 
 def _half_sums(axes, modulus, top):
-    """{sum of x_j * step_j over the axes (mod modulus), below top: count}.
-    Each axis costs its length times the keys so far; past _MAX_HALF_WORK
-    of those steps in all, BudgetExceeded is raised before the axis."""
+    """{sum of x_j * step_j over the axes, below top: count}.  With modulus
+    m = top they are read in Z[t]/(t^m + 1): a sum past m wraps to sum - m,
+    count negated, once, as each x_j * step_j < m.  Past _MAX_HALF_WORK
+    steps (an axis costs its length times the keys so far), it raises
+    BudgetExceeded before the axis."""
     sums, work = {0: 1}, 0
     for w, rng in axes:
         work += len(sums) * len(rng)
@@ -329,9 +331,12 @@ def _half_sums(axes, modulus, top):
         nxt = {}
         get, lo, hi, step = nxt.get, rng.start * w, rng.stop * w, rng.step * w
         for s, count in sums.items():
-            for v in range(s + lo, min(s + hi, top), step):
-                v = v % modulus if modulus else v
+            below = range(s + lo, min(s + hi, top), step)
+            for v in below:
                 nxt[v] = get(v, 0) + count
+            if modulus:  # t^m = -1
+                for v in range(s + lo - top, s + hi - top, step)[len(below):]:
+                    nxt[v] = get(v, 0) - count
         sums = nxt
     return sums
 
@@ -340,10 +345,10 @@ def _split_box(steps, ranges, modulus=None, target=None):
     """Split the lattice box x_j in ranges[j] into two halves of balanced
     box size.  Returns (kept, other, walked): the (step, range) axes of the
     larger half whose bound min(half box, target + 1, modulus) is within
-    _MAX_HALF_KEYS, those of the other half, and whether the other half is
-    over that bound too, so walked point by point.  Both halves over the
-    bound, or a walked half of more than _MAX_HALF_WORK points, raise
-    BudgetExceeded."""
+    _MAX_HALF_KEYS, those of the other half (largest axis first), and
+    whether the other half is over that bound too, so walked point by
+    point.  Both halves over the bound, or a walked half of more than
+    _MAX_HALF_WORK points, raise BudgetExceeded."""
     top = math.inf if target is None else target + 1
     halves, sizes = [[], []], [1, 1]
     axes = sorted(zip(steps, ranges), key=lambda ax: len(ax[1]), reverse=True)
@@ -365,13 +370,12 @@ def _split_box(steps, ranges, modulus=None, target=None):
 
 
 def _lattice_halves(steps, ranges, modulus=None, target=None):
-    """Meet in the middle over the lattice box x_j in ranges[j] (each
-    range's step honoured), split by :func:`_split_box`.  Returns (kept,
-    other): the dict {sum of x_j * steps[j] (mod modulus), at most target:
-    point count} of the kept half, and (sum, count) pairs of the other half,
-    from its dict or, when walked, one point at a time (sums unreduced)."""
+    """Meet in the middle over the lattice box x_j in ranges[j] (each range's
+    step honoured), split by :func:`_split_box`.  Returns (kept, other): the
+    :func:`_half_sums` dict of the kept half, at most target, and (sum, count)
+    pairs of the other half, from its dict or, if walked, unreduced points."""
     kept, other, walked = _split_box(steps, ranges, modulus, target)
-    top = math.inf if target is None else target + 1
+    top = modulus or (math.inf if target is None else target + 1)
     sums = _half_sums(kept, modulus, top)
     if not walked:
         return sums, _half_sums(other, modulus, top).items()
@@ -380,6 +384,15 @@ def _lattice_halves(steps, ranges, modulus=None, target=None):
         axis = range(r.start * w, r.stop * w, r.step * w)
         walk = (s + x for s, xs in zip(walk, repeat(axis)) for x in xs)
     return sums, zip(walk, repeat(1))
+
+
+def _axis_signs(y, w, a):
+    """Sum over 0 < x < a of (-1)^floor((y + x w)/aw): (a - 1) - 2 sum_x
+    floor((y + x w)/aw) + 4 sum_x floor((y + x w)/2aw), floor sums (the
+    AtCoder Library's floor_sum) of one divmod each as w divides aw: of
+    q = y // w, a - 1 - q % a points have floor q // a, q % a one more."""
+    q = y // w
+    return (-1) ** (q // a) * (a - 1 - 2 * (q % a))
 
 
 def milnor_signature_dim7(exponents):
@@ -391,11 +404,16 @@ def milnor_signature_dim7(exponents):
               - #{ x : sum x_j/a_j mod 2 in (1,2) }
 
     (boundary points, i.e. integral or odd-integral sums, contribute zero;
-    they are exactly the monodromy eigenvalue-one points).  With d = lcm(a),
-    one half of the axes (see :func:`_lattice_halves`) is reduced to sorted
-    residues of sum x_j d/a_j mod 2d, which each residue of the other half
-    bisects for the arcs (0,d) and (d,2d).  A box the kernel refuses raises
-    BudgetExceeded.
+    they are exactly the monodromy eigenvalue-one points).  With d = lcm(a)
+    and y = sum x_j d/a_j, sigma sums (-1)^floor(y/d), the sign of t^y in
+    Z[t]/(t^d + 1), over the whole box: x -> a - x takes y = kd to (5 - k)d,
+    so the boundary points cancel in pairs.  Each half of the axes reduces
+    there (:func:`_split_box` at key bound 2d; at d, halves too long to fill
+    would be stored).  With Pre and Tot the prefix sums and total of the
+    kept half's counts, each key r of the other half, N_r points, takes one
+    bisect: sigma = sum_r N_r (2 Pre(d - r) - Tot).  A walked half sums its
+    largest axis by :func:`_axis_signs` if the kept half has fewer keys than
+    it has points.  A box the kernel refuses raises BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8
@@ -409,20 +427,22 @@ def milnor_signature_dim7(exponents):
             f"(five exponents); got {len(a)}"
         )
     d = math.lcm(*a)
-    twod = 2 * d
     steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]
-    kept, other = _lattice_halves(steps, ranges, modulus=twod)
+    kept_axes, other, walked = _split_box(steps, ranges, modulus=2 * d)
+    kept = _half_sums(kept_axes, d, d)
+    pairs = _half_sums(other[walked:], d, d).items()
+    if walked:  # its longest axis x w (x in xs) on each key c of the rest
+        w, xs = other[0]
+        if len(kept) < len(xs):
+            return sum(n * m * _axis_signs(c + s, w, xs.stop)
+                       for c, m in pairs for s, n in kept.items())
+        pairs = ((y % d, -m if y >= d else m)
+                 for c, m in pairs for y in range(c + w, c + xs.stop * w, w))
     keys = sorted(kept)
     prefix = [0, *accumulate(kept[s] for s in keys)]
-
-    def below(x):  # kept residues s with s < x, counted periodically
-        laps, x = divmod(x, twod)
-        return laps * prefix[-1] + prefix[bisect_left(keys, x)]
-
-    return sum(  # r + s mod 2d in (0, d) counts +1, in (d, 2d) counts -1
-        n * (below(d - r) - below(1 - r) - below(twod - r) + below(d + 1 - r))
-        for r, n in other
-    )
+    total = prefix[-1]  # r meets the kept keys below d - r with +1, else -1
+    return sum(n * (2 * prefix[bisect_left(keys, d - r)] - total)
+               for r, n in pairs)
 
 
 def exotic_class_dim7(exponents):

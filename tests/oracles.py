@@ -22,15 +22,19 @@ the tests compare it against:
 * :func:`gcd_graph_edges` and its components by union-find, from which
   :func:`sphere_criteria_by_components` reads Brieskorn's two sphere
   criteria, which the package reads off the b-numbers
-  (``LinkProfile._gcd_reading``).
+  (``LinkProfile._gcd_reading``);
+* :func:`cyclic_signature_dim7`, Brieskorn's dim-7 signature from residues
+  mod 2d counted over the arcs (0, d) and (d, 2d), which the package counts
+  with signs in Z[t]/(t^d + 1) (``milnor_signature_dim7``).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import defaultdict
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from brieskorn import homology
 from brieskorn.errors import BudgetExceeded, PreconditionFailed
@@ -345,4 +349,47 @@ def sphere_criteria_by_components(exponents):
     return (
         isolated >= 2 or (isolated == 1 and odd_two),
         isolated >= 1 or odd_two,
+    )
+
+
+def cyclic_signature_dim7(exponents):
+    """Brieskorn's dim-7 signature by the cyclic count: with d = lcm(a), each
+    half of the axes (split greedily, longest axis first) is reduced to
+    {sum x_j d/a_j mod 2d: points}, and each residue r of one half bisects
+    the other half's sorted residues for the arcs (0, d), counted +1, and
+    (d, 2d), counted -1.  No bound: for boxes a test can afford.
+
+    >>> cyclic_signature_dim7((2, 2, 2, 3, 5))
+    8
+    """
+    a = tuple(exponents)
+    d = math.lcm(*a)
+    twod = 2 * d
+    halves, sizes = [[], []], [1, 1]
+    for aj in sorted(a, reverse=True):
+        k = sizes[1] < sizes[0]
+        halves[k].append(aj)
+        sizes[k] *= aj - 1
+
+    def residues(half):
+        sums = {0: 1}
+        for aj in half:
+            nxt = defaultdict(int)
+            for s, n in sums.items():
+                for x in range(1, aj):
+                    nxt[(s + x * (d // aj)) % twod] += n
+            sums = nxt
+        return sums
+
+    kept, other = map(residues, halves)
+    keys = sorted(kept)
+    prefix = [0, *accumulate(kept[s] for s in keys)]
+
+    def below(x):  # kept residues s with s < x, counted periodically
+        laps, x = divmod(x, twod)
+        return laps * prefix[-1] + prefix[bisect_left(keys, x)]
+
+    return sum(  # r + s mod 2d in (0, d) counts +1, in (d, 2d) counts -1
+        n * (below(d - r) - below(1 - r) - below(twod - r) + below(d + 1 - r))
+        for r, n in other.items()
     )

@@ -35,6 +35,7 @@ from brieskorn import homology
 from brieskorn.homology import _lattice_halves
 from oracles import (
     components_by_union_find,
+    cyclic_signature_dim7,
     gcd_graph_reading_by_components,
     sphere_criteria_by_components,
 )
@@ -62,32 +63,44 @@ def test_middle_betti_against_lattice_count(v):
 
 
 def kernel_kappa(exponents):
-    """Middle Betti rank from the lattice kernel: open-box points x with
-    sum x_j d/a_j = 0 mod d, met in the middle."""
+    """Middle Betti rank from the lattice kernel: open-box points x whose
+    exact sum x_j d/a_j, met in the middle, is a multiple k d of d (each
+    summand lies in (0, d), so 0 < k < len(exponents))."""
     d = math.lcm(*exponents)
     kept, other = _lattice_halves(
-        [d // a for a in exponents], [range(1, a) for a in exponents], modulus=d
+        [d // a for a in exponents], [range(1, a) for a in exponents]
     )
-    return sum(count * kept.get(-s % d, 0) for s, count in other)
+    return sum(count * kept.get(k * d - s, 0)
+               for s, count in other for k in range(1, len(exponents)))
+
+
+def negacyclic(total, m):
+    """t^total in Z[t]/(t^m + 1), as (key, sign)."""
+    laps, key = divmod(total, m)
+    return key, -1 if laps % 2 else 1
 
 
 def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
     # with the key cap lowered to 10, the 50-point half cannot be stored:
-    # it is walked one point at a time against the stored 6-key half
+    # it is walked one point at a time (sums unreduced) against the stored
+    # 6-key half, whose sums 3..14 wrap past the modulus 12 with a sign
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
     steps, ranges = [7, 5, 3], [range(50), range(2), range(1, 4)]
-    brute = collections.Counter(
-        sum(x * w for x, w in zip(p, steps)) % 40
-        for p in itertools.product(*ranges)
-    )
-    kept, other = _lattice_halves(steps, ranges, modulus=40)
-    pairs = list(other)
-    assert len(kept) == 6 and len(pairs) == 50
-    met = collections.Counter()
-    for s, n in pairs:
-        for t, m in kept.items():
-            met[(s + t) % 40] += n * m
-    assert met == brute
+    for m in (40, 12):
+        brute = collections.Counter()
+        for p in itertools.product(*ranges):
+            key, sign = negacyclic(sum(x * w for x, w in zip(p, steps)), m)
+            brute[key] += sign
+        kept, other = _lattice_halves(steps, ranges, modulus=m)
+        pairs = list(other)
+        assert len(kept) == 6 and len(pairs) == 50
+        assert all(s < m for s in kept) and (m > 14 or kept[2] == -1)
+        met = collections.Counter()
+        for s, n in pairs:
+            for t, c in kept.items():
+                key, sign = negacyclic(s + t, m)
+                met[key] += sign * n * c
+        assert met == brute
     kept, other = _lattice_halves(steps, ranges, target=100)
     assert sum(n * kept.get(100 - s, 0) for s, n in other) == sum(
         1 for p in itertools.product(*ranges)
@@ -464,6 +477,45 @@ def sig_by_fractions(exponents):
 ])
 def test_milnor_signature_against_fraction_oracle(v):
     assert milnor_signature_dim7(v) == sig_by_fractions(v)
+
+
+def test_milnor_signature_against_the_cyclic_count(monkeypatch):
+    # 2,000 seeded vectors (entries 2..30, box <= 2e5) and Brieskorn's 28
+    # spheres against the mod-2d count.  At the default key cap both halves
+    # are stored; at lowered caps a half is walked, its largest axis summed
+    # in closed form where the kept half has fewer keys than it has points
+    rng = random.Random(20151027)
+    vectors = [(2, 2, 2, 3, 6 * k - 1) for k in range(1, 29)]
+    while len(vectors) < 2028:
+        v = tuple(rng.randint(2, 30) for _ in range(5))
+        if math.prod(v) <= 200_000:
+            vectors.append(v)
+    want = [cyclic_signature_dim7(v) for v in vectors]
+    assert [milnor_signature_dim7(v) for v in vectors] == want
+    closed, walked = set(), set()
+    axis_signs, split_box = homology._axis_signs, homology._split_box
+
+    def spy_axis(*args):
+        closed.add(v)
+        return axis_signs(*args)
+
+    def spy_split(*args, **kwargs):
+        halves = split_box(*args, **kwargs)
+        if halves[2]:
+            walked.add(v)
+        return halves
+
+    monkeypatch.setattr(homology, "_axis_signs", spy_axis)
+    monkeypatch.setattr(homology, "_split_box", spy_split)
+    for cap in (200, 30):
+        monkeypatch.setattr(homology, "_MAX_HALF_KEYS", cap)
+        for v, sigma in zip(vectors, want):
+            try:
+                assert milnor_signature_dim7(v) == sigma, (cap, v)
+            except BudgetExceeded:
+                pass
+    assert len(closed) >= 40 and len(walked - closed) >= 500
+    assert {(2, 2, 2, 3, 6 * k - 1) for k in range(6, 29)} <= closed
 
 
 def test_milnor_signature_known_values():
