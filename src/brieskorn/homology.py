@@ -316,10 +316,10 @@ _MAX_HALF_KEYS = 1 << 20
 _MAX_HALF_WORK = 1 << 24
 
 
-def _half_sums(axes, modulus, top):
-    """{sum of x_j * step_j over the axes, below top: count}.  With modulus
-    m = top they are read in Z[t]/(t^m + 1): a sum past m wraps to sum - m,
-    count negated, once, as each x_j * step_j < m.  Past _MAX_HALF_WORK
+def _half_sums(axes, top, negacyclic=False):
+    """{sum of x_j * step_j over the axes, below top: count}.  Negacyclic,
+    they are read in Z[t]/(t^top + 1): a sum past top wraps to sum - top,
+    count negated, once, as each x_j * step_j < top.  Past _MAX_HALF_WORK
     steps (an axis costs its length times the keys so far), it raises
     BudgetExceeded before the axis."""
     sums, work = {0: 1}, 0
@@ -334,17 +334,17 @@ def _half_sums(axes, modulus, top):
             below = range(s + lo, min(s + hi, top), step)
             for v in below:
                 nxt[v] = get(v, 0) + count
-            if modulus:  # t^m = -1
+            if negacyclic:  # t^top = -1
                 for v in range(s + lo - top, s + hi - top, step)[len(below):]:
                     nxt[v] = get(v, 0) - count
         sums = nxt
     return sums
 
 
-def _split_box(steps, ranges, modulus=None, target=None):
+def _split_box(steps, ranges, target=None):
     """Split the lattice box x_j in ranges[j] into two halves of balanced
     box size.  Returns (kept, other, walked): the (step, range) axes of the
-    larger half whose bound min(half box, target + 1, modulus) is within
+    larger half whose bound min(half box, target + 1) is within
     _MAX_HALF_KEYS, those of the other half (largest axis first), and
     whether the other half is over that bound too, so walked point by
     point.  Both halves over the bound, or a walked half of more than
@@ -356,7 +356,7 @@ def _split_box(steps, ranges, modulus=None, target=None):
         k = sizes[1] < sizes[0]
         halves[k].append(axis)
         sizes[k] *= len(axis[1])
-    need = [min(n, top, modulus or math.inf) for n in sizes]
+    need = [min(n, top) for n in sizes]
     # keep the half within the cap, else the larger box; half 0 on a tie
     cap = _MAX_HALF_KEYS
     k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
@@ -369,16 +369,16 @@ def _split_box(steps, ranges, modulus=None, target=None):
     return halves[k], halves[1 - k], walked
 
 
-def _lattice_halves(steps, ranges, modulus=None, target=None):
+def _lattice_halves(steps, ranges, target=None):
     """Meet in the middle over the lattice box x_j in ranges[j] (each range's
     step honoured), split by :func:`_split_box`.  Returns (kept, other): the
     :func:`_half_sums` dict of the kept half, at most target, and (sum, count)
     pairs of the other half, from its dict or, if walked, unreduced points."""
-    kept, other, walked = _split_box(steps, ranges, modulus, target)
-    top = modulus or (math.inf if target is None else target + 1)
-    sums = _half_sums(kept, modulus, top)
+    kept, other, walked = _split_box(steps, ranges, target)
+    top = math.inf if target is None else target + 1
+    sums = _half_sums(kept, top)
     if not walked:
-        return sums, _half_sums(other, modulus, top).items()
+        return sums, _half_sums(other, top).items()
     walk = (0,)  # one generator per axis, in product order; none stores it
     for w, r in other:
         axis = range(r.start * w, r.stop * w, r.step * w)
@@ -412,8 +412,8 @@ def milnor_signature_dim7(exponents):
     would be stored).  With Pre and Tot the prefix sums and total of the
     kept half's counts, each key r of the other half, N_r points, takes one
     bisect: sigma = sum_r N_r (2 Pre(d - r) - Tot).  A walked half sums its
-    largest axis by :func:`_axis_signs` if the kept half has fewer keys than
-    it has points.  A box the kernel refuses raises BudgetExceeded.
+    largest axis by :func:`_axis_signs`, or walks it when the kept half has at
+    least as many keys.  A box the kernel refuses raises BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8
@@ -428,9 +428,9 @@ def milnor_signature_dim7(exponents):
         )
     d = math.lcm(*a)
     steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]
-    kept_axes, other, walked = _split_box(steps, ranges, modulus=2 * d)
-    kept = _half_sums(kept_axes, d, d)
-    pairs = _half_sums(other[walked:], d, d).items()
+    kept_axes, other, walked = _split_box(steps, ranges, target=2 * d - 1)
+    kept = _half_sums(kept_axes, d, negacyclic=True)
+    pairs = _half_sums(other[walked:], d, negacyclic=True).items()
     if walked:  # its longest axis x w (x in xs) on each key c of the rest
         w, xs = other[0]
         if len(kept) < len(xs):

@@ -239,10 +239,10 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
     # prime powers keep enough of the box for a half to be walked.
     real, walked = einstein._lattice_halves, []
 
-    def spy(steps, ranges, modulus=None, target=None):
+    def spy(steps, ranges, target=None):
         saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
         try:
-            kept, other = real(steps, ranges, modulus, target)
+            kept, other = real(steps, ranges, target)
         finally:
             homology._MAX_HALF_KEYS = saved
         walked.append(not isinstance(other, ItemsView))

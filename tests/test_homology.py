@@ -80,27 +80,46 @@ def negacyclic(total, m):
     return key, -1 if laps % 2 else 1
 
 
+def test_half_sums_wrap_negacyclically():
+    # read in Z[t]/(t^m + 1), a sum past m wraps to sum - m with its count
+    # negated; every step value is below m, so one wrap per axis is enough,
+    # though the unreduced sums reach 24 > 2m at m = 11
+    axes = [(5, range(2)), (3, range(1, 4)), (2, range(1, 6, 2))]
+    points = list(itertools.product(*(rng for _, rng in axes)))
+    for m in (40, 12, 11):
+        brute = collections.Counter()
+        for p in points:
+            key, sign = negacyclic(sum(x * w for (w, _), x in zip(axes, p)), m)
+            brute[key] += sign
+        sums = homology._half_sums(axes, m, negacyclic=True)
+        assert all(0 <= s < m for s in sums)
+        assert collections.Counter(sums) == brute
+    # the two-axis sums 3..14: 14 wraps past 12 to 2 with count -1
+    assert homology._half_sums(axes[:2], 12, negacyclic=True)[2] == -1
+    # not negacyclic, sums at or past top are dropped
+    assert homology._half_sums(axes, 15) == collections.Counter(
+        t for t in (sum(x * w for (w, _), x in zip(axes, p)) for p in points)
+        if t < 15
+    )
+
+
 def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
     # with the key cap lowered to 10, the 50-point half cannot be stored:
-    # it is walked one point at a time (sums unreduced) against the stored
-    # 6-key half, whose sums 3..14 wrap past the modulus 12 with a sign
+    # it is walked one point at a time against the stored 6-key half
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
     steps, ranges = [7, 5, 3], [range(50), range(2), range(1, 4)]
-    for m in (40, 12):
-        brute = collections.Counter()
-        for p in itertools.product(*ranges):
-            key, sign = negacyclic(sum(x * w for x, w in zip(p, steps)), m)
-            brute[key] += sign
-        kept, other = _lattice_halves(steps, ranges, modulus=m)
-        pairs = list(other)
-        assert len(kept) == 6 and len(pairs) == 50
-        assert all(s < m for s in kept) and (m > 14 or kept[2] == -1)
-        met = collections.Counter()
-        for s, n in pairs:
-            for t, c in kept.items():
-                key, sign = negacyclic(s + t, m)
-                met[key] += sign * n * c
-        assert met == brute
+    brute = collections.Counter(
+        sum(x * w for x, w in zip(p, steps))
+        for p in itertools.product(*ranges)
+    )
+    kept, other = _lattice_halves(steps, ranges)
+    pairs = list(other)
+    assert len(kept) == 6 and len(pairs) == 50
+    met = collections.Counter()
+    for s, n in pairs:
+        for t, m in kept.items():
+            met[s + t] += n * m
+    assert met == brute
     kept, other = _lattice_halves(steps, ranges, target=100)
     assert sum(n * kept.get(100 - s, 0) for s, n in other) == sum(
         1 for p in itertools.product(*ranges)
@@ -108,10 +127,10 @@ def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
     )
     monkeypatch.setattr(homology, "_MAX_HALF_WORK", 49)
     with pytest.raises(BudgetExceeded, match="50 points to walk, over 49"):
-        _lattice_halves(steps, ranges, modulus=40)
+        _lattice_halves(steps, ranges)
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 5)
     with pytest.raises(BudgetExceeded):
-        _lattice_halves(steps, ranges, modulus=40)
+        _lattice_halves(steps, ranges)
 
 
 def test_a_walked_half_holds_no_axis_in_memory(monkeypatch):
@@ -513,7 +532,11 @@ def test_milnor_signature_against_the_cyclic_count(monkeypatch):
             try:
                 assert milnor_signature_dim7(v) == sigma, (cap, v)
             except BudgetExceeded:
-                pass
+                # only the split refuses, at the cyclic count's key bound 2d
+                d = math.lcm(*v)
+                with pytest.raises(BudgetExceeded):
+                    split_box([d // a for a in v], [range(1, a) for a in v],
+                              target=2 * d - 1)
     assert len(closed) >= 40 and len(walked - closed) >= 500
     assert {(2, 2, 2, 3, 6 * k - 1) for k in range(6, 29)} <= closed
 
@@ -526,7 +549,8 @@ def test_milnor_signature_known_values():
 
 def test_milnor_signature_one_large_axis():
     # the large axis alone makes one half of 1048578 points, over the key
-    # cap but within the walk bound: that half is walked, not stored.
+    # cap but within the walk bound: that half is not stored, and its one
+    # axis is summed in closed form against the one kept key.
     # Every sum is 2 + x/a with 0 < x/a < 1, so sigma = a - 1.
     a = 1048579
     assert milnor_signature_dim7((2, 2, 2, 2, a)) == a - 1
