@@ -224,7 +224,7 @@ def _monomial_counts(link):
     a, d, beta = link.exponents, link.degree, link.b_numbers
     if d + 1 > homology._MAX_HALF_KEYS:
         # refuse what the kernel refuses on the unpruned box 0 <= b_j < a_j;
-        # while d + 1 is within the key cap, it refuses nothing there
+        # while d + 1 is within the key cap, no half of it is over that cap
         homology._split_box(link.weights, map(range, a), target=d)
     cls = tuple(sorted([-b if b == x else b for x, b in zip(a, beta)]))
     memo = _class_memo.get(None)

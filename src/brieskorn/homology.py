@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate, combinations, repeat
 
 from .errors import (
@@ -319,15 +320,11 @@ _MAX_HALF_WORK = 1 << 24
 def _half_sums(axes, top, negacyclic=False):
     """{sum of x_j * step_j over the axes, below top: count}.  Negacyclic,
     they are read in Z[t]/(t^top + 1): a sum past top wraps to sum - top,
-    count negated, once, as each x_j * step_j < top.  Past _MAX_HALF_WORK
-    steps (an axis costs its length times the keys so far), it raises
-    BudgetExceeded before the axis."""
-    sums, work = {0: 1}, 0
+    count negated, once, as each x_j * step_j < top.  The axes are filled
+    in the order given, each costing its length times the keys so far:
+    :func:`_split_box` orders them shortest first and bounds that cost."""
+    sums = {0: 1}
     for w, rng in axes:
-        work += len(sums) * len(rng)
-        if work > _MAX_HALF_WORK:
-            raise BudgetExceeded(f"lattice half-sums need {work} steps, "
-                                 f"over {_MAX_HALF_WORK}")
         nxt = {}
         get, lo, hi, step = nxt.get, rng.start * w, rng.stop * w, rng.step * w
         for s, count in sums.items():
@@ -342,38 +339,64 @@ def _half_sums(axes, top, negacyclic=False):
 
 
 def _split_box(steps, ranges, target=None):
-    """Split the lattice box x_j in ranges[j] into two halves of balanced
-    box size.  Returns (kept, other, walked): the (step, range) axes of the
-    larger half whose bound min(half box, target + 1) is within
-    _MAX_HALF_KEYS, those of the other half (largest axis first), and
-    whether the other half is over that bound too, so walked point by
-    point.  Both halves over the bound, or a walked half of more than
-    _MAX_HALF_WORK points, raise BudgetExceeded."""
-    top = math.inf if target is None else target + 1
-    halves, sizes = [[], []], [1, 1]
-    axes = sorted(zip(steps, ranges), key=lambda ax: len(ax[1]), reverse=True)
-    for axis in axes:
-        k = sizes[1] < sizes[0]
-        halves[k].append(axis)
-        sizes[k] *= len(axis[1])
-    need = [min(n, top) for n in sizes]
-    # keep the half within the cap, else the larger box; half 0 on a tie
-    cap = _MAX_HALF_KEYS
-    k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
-    walked = need[1 - k] > cap
-    if need[k] > cap:
-        raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
-    if walked and sizes[1 - k] > _MAX_HALF_WORK:
-        raise BudgetExceeded(f"lattice half of {sizes[1 - k]} points to "
-                             f"walk, over {_MAX_HALF_WORK}")
-    return halves[k], halves[1 - k], walked
+    """Split the lattice box x_j in ranges[j] into two halves of axes.  A
+    half holds at most min(points, ceil((target + 1) / g)) sums, g the gcd
+    of step x range step over its axes, and filling it shortest axis first
+    takes at most its fill bound: per axis, its points times that bound of
+    the axes before it.  Keeps a half within _MAX_HALF_KEYS keys and
+    _MAX_HALF_WORK fill; the other is stored so too if any split allows,
+    else walked, its at most _MAX_HALF_WORK points its fill; then the least
+    total fill, then the most kept keys.  Equal axes are split by count;
+    over _MAX_SUBSETS splits, or none, raise BudgetExceeded.  Returns (kept,
+    other, walked): axes shortest first, a walked half's longest first."""
+    groups = sorted(Counter(zip(steps, ranges)).items(),
+                    key=lambda group: len(group[0][1]))
+    if (splits := math.prod(n + 1 for _, n in groups)) > _MAX_SUBSETS:
+        raise BudgetExceeded(f"{splits} splits, over {_MAX_SUBSETS}")
+    # halves within both bounds (past one, a half stays past it), as (sum
+    # c_i r_i for c_i axes of group i in mixed radix, keys, points, gcd, fill)
+    halves, radix, box = [(0, 1, 1, 0, 0)], 1, 1
+    for (w, rng), n in groups:
+        size, grown = len(rng), []
+        for half in halves:
+            grown.append(half)
+            i, keys, points, g, fill = half
+            g = math.gcd(g, w * rng.step)
+            bound = math.inf if target is None else target // g + 1
+            for _ in range(n):
+                fill, points = fill + keys * size, points * size
+                keys = points if points < bound else bound
+                if keys > _MAX_HALF_KEYS or fill > _MAX_HALF_WORK:
+                    break
+                grown.append((i := i + radix, keys, points, g, fill))
+        halves, radix, box = grown, radix * (n + 1), box * size ** n
+    fills = {half[0]: half[4] for half in halves}
+    best, least_walk = ((True, math.inf, 0), None), math.inf
+    for i, keys, points, _, fill in halves:
+        walked = (other := fills.get(radix - 1 - i)) is None
+        if walked:
+            other = box // max(points, 1)  # points is 0 only if box is
+            if other > _MAX_HALF_WORK:
+                least_walk = min(least_walk, other)
+                continue
+        if (rank := (walked, fill + other, -keys)) < best[0]:
+            best = rank, i
+    (walked, _, _), i = best
+    if i is None:
+        raise BudgetExceeded(f"lattice half of {least_walk} points to walk, "
+                             f"over {_MAX_HALF_WORK}")
+    kept, other = [], []
+    for axis, n in groups:
+        i, c = divmod(i, n + 1)
+        kept, other = kept + [axis] * c, other + [axis] * (n - c)
+    return kept, other[::-1] if walked else other, walked
 
 
 def _lattice_halves(steps, ranges, target=None):
     """Meet in the middle over the lattice box x_j in ranges[j] (each range's
-    step honoured), split by :func:`_split_box`.  Returns (kept, other): the
-    :func:`_half_sums` dict of the kept half, at most target, and (sum, count)
-    pairs of the other half, from its dict or, if walked, unreduced points."""
+    step honoured), halved by :func:`_split_box` and filled within its bounds.
+    Returns (kept, other): the :func:`_half_sums` dict of the kept half, at
+    most target, and the other half's (sum, count) pairs, stored or walked."""
     kept, other, walked = _split_box(steps, ranges, target)
     top = math.inf if target is None else target + 1
     sums = _half_sums(kept, top)
@@ -408,12 +431,14 @@ def milnor_signature_dim7(exponents):
     and y = sum x_j d/a_j, sigma sums (-1)^floor(y/d), the sign of t^y in
     Z[t]/(t^d + 1), over the whole box: x -> a - x takes y = kd to (5 - k)d,
     so the boundary points cancel in pairs.  Each half of the axes reduces
-    there (:func:`_split_box` at key bound 2d; at d, halves too long to fill
-    would be stored).  With Pre and Tot the prefix sums and total of the
-    kept half's counts, each key r of the other half, N_r points, takes one
-    bisect: sigma = sum_r N_r (2 Pre(d - r) - Tot).  A walked half sums its
-    largest axis by :func:`_axis_signs`, or walks it when the kept half has at
-    least as many keys.  A box the kernel refuses raises BudgetExceeded.
+    there, split by :func:`_split_box` at target 2d - 1: a half whose steps
+    d/a_j have gcd g keeps at most d/g keys mod t^d + 1, within its key
+    bound 2d/g, so it fills within its fill bound.  With Pre and Tot the
+    prefix sums and total of the kept half's counts, each key r of the
+    other half, N_r points, takes one bisect: sigma = sum_r N_r (2 Pre(d -
+    r) - Tot).  A walked half sums its longest axis by :func:`_axis_signs`,
+    or walks it when the kept half has at least as many keys.  A box the
+    split refuses raises BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8

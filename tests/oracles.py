@@ -12,6 +12,10 @@ the tests compare it against:
 * :func:`stride_pruned_counts`, the moduli counts over the box of the
   exponents at strides q_j = a_j / b_j with target d, which the package
   reduces to a count of the b-number class;
+* :func:`greedy_split_box` and :func:`greedy_half_sums`, the lattice
+  kernel's split of its box into two halves of balanced box size, longest
+  axis first, with the work check of each fill, where the package chooses
+  among all splits by key and fill bounds (``homology._split_box``);
 * :func:`automorphism_monomials`, the monomials g z_i^(a_i - 1) along which
   the graded automorphisms move the Fermat polynomial, as many as
   ``ModuliReport.h0_weight_sum`` counts, and :func:`automorphism_rank`,
@@ -171,6 +175,59 @@ def stride_pruned_counts(link):
             for x, m in weights:
                 h0_w += n * m * get(x - s, 0)
     return perturbations, h0_w
+
+
+def greedy_split_box(steps, ranges, target=None):
+    """Split the lattice box x_j in ranges[j] into two halves of balanced
+    box size.  Returns (kept, other, walked): the (step, range) axes of the
+    larger half whose bound min(half box, target + 1) is within
+    _MAX_HALF_KEYS, those of the other half (largest axis first), and
+    whether the other half is over that bound too, so walked point by
+    point.  Both halves over the bound, or a walked half of more than
+    _MAX_HALF_WORK points, raise BudgetExceeded."""
+    top = math.inf if target is None else target + 1
+    halves, sizes = [[], []], [1, 1]
+    axes = sorted(zip(steps, ranges), key=lambda ax: len(ax[1]), reverse=True)
+    for axis in axes:
+        k = sizes[1] < sizes[0]
+        halves[k].append(axis)
+        sizes[k] *= len(axis[1])
+    need = [min(n, top) for n in sizes]
+    # keep the half within the cap, else the larger box; half 0 on a tie
+    cap = homology._MAX_HALF_KEYS
+    k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
+    walked = need[1 - k] > cap
+    if need[k] > cap:
+        raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
+    if walked and sizes[1 - k] > homology._MAX_HALF_WORK:
+        raise BudgetExceeded(f"lattice half of {sizes[1 - k]} points to "
+                             f"walk, over {homology._MAX_HALF_WORK}")
+    return halves[k], halves[1 - k], walked
+
+
+_half_sums = homology._half_sums
+
+
+def fill_steps(axes, top, negacyclic=False):
+    """The steps ``homology._half_sums`` takes over the axes, in their
+    order: each axis costs its points times the keys of the axes before it.
+
+    >>> fill_steps([(1, range(3)), (3, range(2))], 10)  # 3 + 3 * 2
+    9
+    """
+    return sum(len(_half_sums(axes[:i], top, negacyclic)) * len(rng)
+               for i, (_, rng) in enumerate(axes))
+
+
+def greedy_half_sums(axes, top, negacyclic=False):
+    """``homology._half_sums`` behind the work check that the greedy split
+    left to the fill: past _MAX_HALF_WORK :func:`fill_steps`, it raises
+    BudgetExceeded.  With :func:`greedy_split_box`, the kernel as it was."""
+    steps = fill_steps(axes, top, negacyclic)
+    if steps > homology._MAX_HALF_WORK:
+        raise BudgetExceeded(f"lattice half-sums need {steps} steps, "
+                             f"over {homology._MAX_HALF_WORK}")
+    return _half_sums(axes, top, negacyclic)
 
 
 def _monomials_of_weight(weights, target, j=0):

@@ -34,6 +34,8 @@ from oracles import (
     automorphism_monomials,
     automorphism_rank,
     count_weighted_monomials,
+    greedy_half_sums,
+    greedy_split_box,
     stride_pruned_counts,
     sylvester_numerator,
 )
@@ -284,8 +286,8 @@ def counts_or_refusal(count, link):
 
 @pytest.mark.parametrize("keys, work, refused", [
     (homology._MAX_HALF_KEYS, homology._MAX_HALF_WORK, 0),
-    (homology._MAX_HALF_KEYS, 64, 1297),
-    (100, 1000, 1075),  # d + 1 over the key cap: the unpruned box is judged
+    (homology._MAX_HALF_KEYS, 64, 919),
+    (100, 1000, 34),  # d + 1 over the key cap: the unpruned box is judged
 ])
 def test_class_counts_match_the_stride_pruned_box(monkeypatch, keys, work,
                                                  refused):
@@ -300,6 +302,38 @@ def test_class_counts_match_the_stride_pruned_box(monkeypatch, keys, work,
         assert counts_or_refusal(einstein._monomial_counts, link) == want, v
         seen += want == "refused"
     assert seen == refused
+
+
+@pytest.mark.parametrize("keys, work, answered", [
+    (homology._MAX_HALF_KEYS, homology._MAX_HALF_WORK, 0),
+    (homology._MAX_HALF_KEYS, 64, 378),
+    (100, 1000, 1041),
+])
+def test_the_split_answers_wherever_the_greedy_split_did(monkeypatch, keys,
+                                                         work, answered):
+    # the balanced greedy split, with the work check it left to each fill,
+    # is the kernel as it was: wherever it answered, the split chosen by key
+    # and fill bounds answers the same; where it refused and the chosen
+    # split answers, the counts are the DP's
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", keys)
+    monkeypatch.setattr(homology, "_MAX_HALF_WORK", work)
+    links = [make_link(v) for v in moduli_multisets()]
+    with monkeypatch.context() as greedy:
+        greedy.setattr(homology, "_split_box", greedy_split_box)
+        greedy.setattr(homology, "_half_sums", greedy_half_sums)
+        old = [counts_or_refusal(einstein._monomial_counts, link)
+               for link in links]
+    seen = 0
+    for link, want in zip(links, old):
+        got = counts_or_refusal(einstein._monomial_counts, link)
+        if want != "refused":
+            assert got == want, link.exponents
+        elif got != "refused":
+            h0_d = count_weighted_monomials(link.weights, link.degree)
+            assert got == (h0_d - len(link.exponents),
+                           h0_weight_sum_by_dp(link)), link.exponents
+            seen += 1
+    assert seen == answered
 
 
 def test_census_and_sweep_records_carry_the_fresh_moduli():
@@ -348,11 +382,17 @@ def test_automorphism_rank_at_a_random_polynomial_is_the_weight_sum():
 @pytest.mark.parametrize("vec, counts", [
     ((2, 3, 5, 7, 4759000), (12, 9, 3, 7)),
     ((2, 2, 2, 2, 1048579), (11, 17, -6, 6)),
+    ((2,) * 18, (171, 324, -153, 153)),
+    ((2, 3) * 9, (210, 162, 48, 192)),
+    ((4, 6, 10, 14, 22, 26) * 3, (24160, 54, 24106, 24142)),
 ])
 def test_moduli_of_a_large_pruned_box(vec, counts):
     # strides (1, 3, 1, 7, 475900) and (1, 1, 1, 1, 1048579): the unpruned
     # boxes have 10^9 and 1.7 * 10^7 points, each with a half over the key
-    # cap that took seconds to walk; the pruned ones have 100 and 16
+    # cap that took seconds to walk; the pruned ones have 100 and 16.  The
+    # last three have 18 equal axes, two groups of 9 and six groups of 3:
+    # the split chooses how many of each group a half takes, one of 19, 100
+    # and 4,096 splits
     link = make_link(vec)
     start = time.perf_counter()
     r = moduli_dimension(link)

@@ -1,11 +1,13 @@
 """Integral homology data: Betti ranks, sphere tests, classifiers, signatures."""
 
 import collections
+import importlib.util
 import itertools
 import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,10 @@ from brieskorn.homology import _lattice_halves
 from oracles import (
     components_by_union_find,
     cyclic_signature_dim7,
+    fill_steps,
     gcd_graph_reading_by_components,
+    greedy_half_sums,
+    greedy_split_box,
     sphere_criteria_by_components,
 )
 
@@ -131,6 +136,15 @@ def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 5)
     with pytest.raises(BudgetExceeded):
         _lattice_halves(steps, ranges)
+
+
+def test_the_split_search_refuses_over_the_subset_budget():
+    # 19 distinct axes have 2^19 splits, over the subset budget of 2^18:
+    # refused before any half is judged
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="524288 splits, over 262144"):
+        homology._split_box(range(1, 20), [range(2)] * 19)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_a_walked_half_holds_no_axis_in_memory(monkeypatch):
@@ -498,11 +512,21 @@ def test_milnor_signature_against_fraction_oracle(v):
     assert milnor_signature_dim7(v) == sig_by_fractions(v)
 
 
+def signature_or_refusal(v):
+    try:
+        return milnor_signature_dim7(v)
+    except BudgetExceeded:
+        return "refused"
+
+
 def test_milnor_signature_against_the_cyclic_count(monkeypatch):
     # 2,000 seeded vectors (entries 2..30, box <= 2e5) and Brieskorn's 28
     # spheres against the mod-2d count.  At the default key cap both halves
     # are stored; at lowered caps a half is walked, its largest axis summed
-    # in closed form where the kept half has fewer keys than it has points
+    # in closed form where the kept half has fewer keys than it has points.
+    # The greedy split, with the work check it left to each fill, is the
+    # kernel as it was: every vector it answered at a lowered cap answers,
+    # and so do the 262 and 1,889 it refused at caps 200 and 30
     rng = random.Random(20151027)
     vectors = [(2, 2, 2, 3, 6 * k - 1) for k in range(1, 29)]
     while len(vectors) < 2028:
@@ -511,6 +535,13 @@ def test_milnor_signature_against_the_cyclic_count(monkeypatch):
             vectors.append(v)
     want = [cyclic_signature_dim7(v) for v in vectors]
     assert [milnor_signature_dim7(v) for v in vectors] == want
+    greedy = {}
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_split_box", greedy_split_box)
+        m.setattr(homology, "_half_sums", greedy_half_sums)
+        for cap in (200, 30):
+            m.setattr(homology, "_MAX_HALF_KEYS", cap)
+            greedy[cap] = [signature_or_refusal(v) for v in vectors]
     closed, walked = set(), set()
     axis_signs, split_box = homology._axis_signs, homology._split_box
 
@@ -526,19 +557,76 @@ def test_milnor_signature_against_the_cyclic_count(monkeypatch):
 
     monkeypatch.setattr(homology, "_axis_signs", spy_axis)
     monkeypatch.setattr(homology, "_split_box", spy_split)
+    answered = 0
     for cap in (200, 30):
         monkeypatch.setattr(homology, "_MAX_HALF_KEYS", cap)
-        for v, sigma in zip(vectors, want):
+        for v, sigma, old in zip(vectors, want, greedy[cap]):
             try:
                 assert milnor_signature_dim7(v) == sigma, (cap, v)
+                answered += old == "refused"
             except BudgetExceeded:
-                # only the split refuses, at the cyclic count's key bound 2d
+                # only the split refuses, and only where the greedy did
+                assert old == "refused", (cap, v)
                 d = math.lcm(*v)
                 with pytest.raises(BudgetExceeded):
                     split_box([d // a for a in v], [range(1, a) for a in v],
                               target=2 * d - 1)
     assert len(closed) >= 40 and len(walked - closed) >= 500
     assert {(2, 2, 2, 3, 6 * k - 1) for k in range(6, 29)} <= closed
+    assert answered == 262 + 1889
+
+
+def analyze7_vectors():
+    """The 144 five-exponent links of the perfbench analyze7 workload's
+    seeds 1-3, drawn by its own generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [v for seed in (1, 2, 3) for v in workloads.analyze7_vectors(seed)]
+
+
+def fill_bound(axes, target):
+    """The split's bound on the steps to fill a half, in its axis order: each
+    axis takes its points times the key bound of the axes before it,
+    min(points, ceil((target + 1) / g)) for the gcd g of their steps."""
+    bound, keys, points, g = 0, 1, 1, 0
+    for w, rng in axes:
+        bound += keys * len(rng)
+        points, g = points * len(rng), math.gcd(g, w * rng.step)
+        keys = min(points, -(-(target + 1) // g))
+    return bound
+
+
+def test_the_split_fills_the_analyze7_links_in_fewer_steps(monkeypatch):
+    # both halves of the chosen split are stored, as some split stores
+    # both, and each fills, mod t^d + 1, within the fill bound it was judged
+    # by at key bound 2d; over the 144 analyze7 links the signature's fills
+    # take at most 3/4 of the greedy split's steps
+    vectors = analyze7_vectors()
+    chosen, fill = homology._split_box, homology._half_sums
+    for v in vectors:
+        d = math.lcm(*v)
+        steps, ranges = [d // a for a in v], [range(1, a) for a in v]
+        kept, other, walked = chosen(steps, ranges, target=2 * d - 1)
+        assert not walked, v
+        for half in kept, other:
+            assert fill_steps(half, d, True) <= fill_bound(half, 2 * d - 1), v
+    calls = []
+
+    def spy(axes, top, negacyclic=False):
+        calls.append(fill_steps(axes, top, negacyclic))
+        return fill(axes, top, negacyclic)
+
+    monkeypatch.setattr(homology, "_half_sums", spy)
+    totals = []
+    for split in (greedy_split_box, chosen):
+        monkeypatch.setattr(homology, "_split_box", split)
+        calls.clear()
+        for v in vectors:
+            milnor_signature_dim7(v)
+        totals.append(sum(calls))
+    assert 4 * totals[1] <= 3 * totals[0], totals
 
 
 def test_milnor_signature_known_values():
