@@ -344,11 +344,11 @@ def _split_box(steps, ranges, target=None):
     of step x range step over its axes, and filling it shortest axis first
     takes at most its fill bound: per axis, its points times that bound of
     the axes before it.  Keeps a half within _MAX_HALF_KEYS keys and
-    _MAX_HALF_WORK fill; the other is stored so too if any split allows,
-    else walked, its at most _MAX_HALF_WORK points its fill; then the least
-    total fill, then the most kept keys.  Equal axes are split by count;
-    over _MAX_SUBSETS splits, or none, raise BudgetExceeded.  Returns (kept,
-    other, walked): axes shortest first, a walked half's longest first."""
+    _MAX_HALF_WORK fill; stores the other so too if any split allows, else
+    walks it, at most _MAX_HALF_WORK points counted as its fill; then takes
+    the least total fill, then the most kept keys.  Equal axes are split by
+    count; over _MAX_SUBSETS splits, or none, raise BudgetExceeded.  Gives
+    (kept, other, walked), axes shortest first, a walked half longest first."""
     groups = sorted(Counter(zip(steps, ranges)).items(),
                     key=lambda group: len(group[0][1]))
     if (splits := math.prod(n + 1 for _, n in groups)) > _MAX_SUBSETS:
