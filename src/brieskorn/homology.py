@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 
 from .errors import (
     BudgetExceeded,
@@ -338,7 +338,7 @@ def _half_sums(axes, top, negacyclic=False):
     return sums
 
 
-def _split_box(steps, ranges, target=None):
+def _split_box(steps, ranges, target):
     """Split the lattice box x_j in ranges[j] into two halves of axes.  A
     half holds at most min(points, ceil((target + 1) / g)) sums, g the gcd
     of step x range step over its axes, and filling it shortest axis first
@@ -348,7 +348,8 @@ def _split_box(steps, ranges, target=None):
     walks it, at most _MAX_HALF_WORK points counted as its fill; then takes
     the least total fill, then the most kept keys.  Equal axes are split by
     count; over _MAX_SUBSETS splits, or none, raise BudgetExceeded.  Gives
-    (kept, other, walked), axes shortest first, a walked half longest first."""
+    (kept, rest, axis): axes to fill, shortest first, and None when rest is
+    all the other half, else the walked half rest + [axis]'s longest axis."""
     groups = sorted(Counter(zip(steps, ranges)).items(),
                     key=lambda group: len(group[0][1]))
     if (splits := math.prod(n + 1 for _, n in groups)) > _MAX_SUBSETS:
@@ -361,8 +362,7 @@ def _split_box(steps, ranges, target=None):
         for half in halves:
             grown.append(half)
             i, keys, points, g, fill = half
-            g = math.gcd(g, w * rng.step)
-            bound = math.inf if target is None else target // g + 1
+            bound = target // (g := math.gcd(g, w * rng.step)) + 1
             for _ in range(n):
                 fill, points = fill + keys * size, points * size
                 keys = points if points < bound else bound
@@ -373,40 +373,39 @@ def _split_box(steps, ranges, target=None):
     fills = {half[0]: half[4] for half in halves}
     best, least_walk = ((True, math.inf, 0), None), math.inf
     for i, keys, points, _, fill in halves:
-        walked = (other := fills.get(radix - 1 - i)) is None
-        if walked:
-            other = box // max(points, 1)  # points is 0 only if box is
-            if other > _MAX_HALF_WORK:
-                least_walk = min(least_walk, other)
-                continue
-        if (rank := (walked, fill + other, -keys)) < best[0]:
+        walks = (other := fills.get(radix - 1 - i)) is None
+        if walks and (other := box // points) > _MAX_HALF_WORK:
+            least_walk = min(least_walk, other)
+            continue
+        if (rank := (walks, fill + other, -keys)) < best[0]:
             best = rank, i
-    (walked, _, _), i = best
+    (walks, _, _), i = best
     if i is None:
         raise BudgetExceeded(f"lattice half of {least_walk} points to walk, "
                              f"over {_MAX_HALF_WORK}")
-    kept, other = [], []
+    kept, rest = [], []
     for axis, n in groups:
         i, c = divmod(i, n + 1)
-        kept, other = kept + [axis] * c, other + [axis] * (n - c)
-    return kept, other[::-1] if walked else other, walked
+        kept, rest = kept + [axis] * c, rest + [axis] * (n - c)
+    return kept, rest, rest.pop() if walks else None
 
 
-def _lattice_halves(steps, ranges, target=None):
-    """Meet in the middle over the lattice box x_j in ranges[j] (each range's
-    step honoured), halved by :func:`_split_box` and filled within its bounds.
-    Returns (kept, other): the :func:`_half_sums` dict of the kept half, at
-    most target, and the other half's (sum, count) pairs, stored or walked."""
-    kept, other, walked = _split_box(steps, ranges, target)
-    top = math.inf if target is None else target + 1
-    sums = _half_sums(kept, top)
-    if not walked:
-        return sums, _half_sums(other, top).items()
-    walk = (0,)  # one generator per axis, in product order; none stores it
-    for w, r in other:
-        axis = range(r.start * w, r.stop * w, r.step * w)
-        walk = (s + x for s, xs in zip(walk, repeat(axis)) for x in xs)
-    return sums, zip(walk, repeat(1))
+def _lattice_halves(steps, ranges, target):
+    """Meet in the middle over the lattice box x_j in ranges[j], split by
+    :func:`_split_box`: the kept half's :func:`_half_sums` and the other
+    half's (sum, count) pairs, sums at most target, a walked half's from
+    each stored sum of its rest plus x w for x on its axis.  The moduli's
+    rest, filled shortest axis first, at steps D / beta_j has sums in D/L Z
+    for L = lcm(beta_rest), so L + 1 keys up to D; over 2^20 points, in a
+    walked half of at most 2^24, its axes are under 16, so L <= 360,360."""
+    kept, rest, axis = _split_box(steps, ranges, target)
+    pairs = _half_sums(rest, target + 1).items()
+    if axis is not None:
+        w, r = axis
+        lo, hi, step = r.start * w, r.stop * w, r.step * w
+        pairs = ((y, m) for c, m in pairs
+                 for y in range(c + lo, min(c + hi, target + 1), step))
+    return _half_sums(kept, target + 1), pairs
 
 
 def _axis_signs(y, w, a):
@@ -436,9 +435,9 @@ def milnor_signature_dim7(exponents):
     bound 2d/g, so it fills within its fill bound.  With Pre and Tot the
     prefix sums and total of the kept half's counts, each key r of the
     other half, N_r points, takes one bisect: sigma = sum_r N_r (2 Pre(d -
-    r) - Tot).  A walked half sums its longest axis by :func:`_axis_signs`,
-    or walks it when the kept half has at least as many keys.  A box the
-    split refuses raises BudgetExceeded.
+    r) - Tot).  A walked half, a stored rest and its longest axis, sums that
+    axis by :func:`_axis_signs`, or walks it when the kept half has at least
+    as many keys.  A box the split refuses raises BudgetExceeded.
 
     >>> milnor_signature_dim7((2, 2, 2, 3, 5))
     8
@@ -453,11 +452,11 @@ def milnor_signature_dim7(exponents):
         )
     d = math.lcm(*a)
     steps, ranges = [d // aj for aj in a], [range(1, aj) for aj in a]
-    kept_axes, other, walked = _split_box(steps, ranges, target=2 * d - 1)
+    kept_axes, rest, axis = _split_box(steps, ranges, 2 * d - 1)
     kept = _half_sums(kept_axes, d, negacyclic=True)
-    pairs = _half_sums(other[walked:], d, negacyclic=True).items()
-    if walked:  # its longest axis x w (x in xs) on each key c of the rest
-        w, xs = other[0]
+    pairs = _half_sums(rest, d, negacyclic=True).items()
+    if axis is not None:  # x w (x in xs) on each key c of the rest
+        w, xs = axis
         if len(kept) < len(xs):
             return sum(n * m * _axis_signs(c + s, w, xs.stop)
                        for c, m in pairs for s, n in kept.items())

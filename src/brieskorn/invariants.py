@@ -263,9 +263,16 @@ class GradedRanks:
         }
 
 
-# Most candidate periods (plus window degrees) one page may walk, and most
-# candidate periods one rank average may sieve.
-_MAX_PAGE_WORK = 1 << 24
+# Most bytes one first page may hold, counted before it holds any: a
+# window degree about 200 (its rank, and a margin degree's least and
+# greatest period), a candidate period up to 120 (its sieve byte, and the
+# (t, s, p, shift, betti) tuple of a column that meets the window).  Under
+# a 1 GiB address-space cap, (2, 3, 4, 16) over [0, 1220159], at this
+# bound, peaks 411 MB above the interpreter's start, and (2, 3, 7, 43, 1807)
+# over [-4, 0], 4,440,436 candidates, at 290 MB.
+_MAX_PAGE_BYTES, _DEGREE_BYTES, _PERIOD_BYTES = 1 << 29, 200, 120
+# Most candidate periods one rank average may sieve, one byte each.
+_MAX_SIEVE_BYTES = 1 << 24
 
 
 def e1_page(link, k_lo, k_hi):
@@ -283,8 +290,9 @@ def e1_page(link, k_lo, k_hi):
     minimal period T_i <= t_hi are read, each walking its multiples there
     but those an outside exponent divides (a bigger stratum's).  The cost
     grows with these candidate periods, about (k_hi - k_lo + 2n) * d /
-    |mu_P| * sum 1/T_i over those strata, not with d alone; past 2^24 of
-    them plus window degrees, BudgetExceeded is raised before any is built.
+    |mu_P| * sum 1/T_i over those strata, not with d alone.  Past 2^29
+    bytes, 200 per window degree and 120 per candidate period,
+    BudgetExceeded is raised before any is built.
 
     Returns :class:`GradedRanks` with per-column detail for every column
     whose degree span meets [k_lo-1, k_hi+1], sorted by period and built
@@ -309,12 +317,14 @@ def e1_page(link, k_lo, k_hi):
         lo, hi = hi, lo
     t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
     rows = [row for row in rows if row[1] <= t_hi]  # row[1] = lcm(a_S)
-    work = k_hi - k_lo + 1 + _period_work([row[1] for row in rows], t_lo, t_hi)
-    if work > _MAX_PAGE_WORK:
+    degrees = k_hi - k_lo + 1
+    periods = _period_work([row[1] for row in rows], t_lo, t_hi)
+    held = _DEGREE_BYTES * degrees + _PERIOD_BYTES * periods
+    if held > _MAX_PAGE_BYTES:
         raise BudgetExceeded(
             f"first page of {link.exponents} in degrees [{k_lo}, {k_hi}] "
-            f"needs {work} degrees and candidate periods, over "
-            f"{_MAX_PAGE_WORK}"
+            f"holds up to {held} bytes for {degrees} degrees and {periods} "
+            f"candidate periods, over {_MAX_PAGE_BYTES}"
         )
     found, ranks = [], {k: 0 for k in range(k_lo, k_hi + 1)}
     first, last = {}, {}  # per margin degree, its least and greatest period
@@ -407,9 +417,9 @@ def mean_euler_from_ranks(link, strict=False):
     mu_p = _nonzero_principal_index(link)
     a, d, rows = link.exponents, link.degree, link._strata_rows
     work = _period_work([p for _, p, _, _ in rows], 1, d)
-    if work > _MAX_PAGE_WORK:
+    if work > _MAX_SIEVE_BYTES:
         raise BudgetExceeded(f"rank average of {a} sieves "
-                             f"{work} periods, over {_MAX_PAGE_WORK}")
+                             f"{work} periods, over {_MAX_SIEVE_BYTES}")
     alternating = sum(_stratum_periods(a, p, 1, d)[1].count(1)
                       * _quotient_chi(s.bit_count(), kappa)
                       for s, p, _, kappa in rows)

@@ -177,15 +177,16 @@ def stride_pruned_counts(link):
     return perturbations, h0_w
 
 
-def greedy_split_box(steps, ranges, target=None):
+def greedy_split_box(steps, ranges, target):
     """Split the lattice box x_j in ranges[j] into two halves of balanced
-    box size.  Returns (kept, other, walked): the (step, range) axes of the
+    box size.  Returns (kept, rest, axis): the (step, range) axes of the
     larger half whose bound min(half box, target + 1) is within
-    _MAX_HALF_KEYS, those of the other half (largest axis first), and
-    whether the other half is over that bound too, so walked point by
-    point.  Both halves over the bound, or a walked half of more than
-    _MAX_HALF_WORK points, raise BudgetExceeded."""
-    top = math.inf if target is None else target + 1
+    _MAX_HALF_KEYS, then those of the other half (largest axis first) and
+    None, or, when the other half is over that bound too, so walked, its
+    axes but its largest and that largest axis.  Both halves over the
+    bound, or a walked half of more than _MAX_HALF_WORK points, raise
+    BudgetExceeded."""
+    top = target + 1
     halves, sizes = [[], []], [1, 1]
     axes = sorted(zip(steps, ranges), key=lambda ax: len(ax[1]), reverse=True)
     for axis in axes:
@@ -196,13 +197,14 @@ def greedy_split_box(steps, ranges, target=None):
     # keep the half within the cap, else the larger box; half 0 on a tie
     cap = homology._MAX_HALF_KEYS
     k = (need[0] <= cap, sizes[0]) < (need[1] <= cap, sizes[1])
-    walked = need[1 - k] > cap
     if need[k] > cap:
         raise BudgetExceeded(f"lattice half-boxes too large: need {need}")
-    if walked and sizes[1 - k] > homology._MAX_HALF_WORK:
+    if need[1 - k] <= cap:
+        return halves[k], halves[1 - k], None
+    if sizes[1 - k] > homology._MAX_HALF_WORK:
         raise BudgetExceeded(f"lattice half of {sizes[1 - k]} points to "
                              f"walk, over {homology._MAX_HALF_WORK}")
-    return halves[k], halves[1 - k], walked
+    return halves[k], halves[1 - k][1:], halves[1 - k][0]
 
 
 _half_sums = homology._half_sums

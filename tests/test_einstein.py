@@ -241,7 +241,7 @@ def test_h0_weight_sum_with_a_walked_half(monkeypatch):
     # prime powers keep enough of the box for a half to be walked.
     real, walked = einstein._lattice_halves, []
 
-    def spy(steps, ranges, target=None):
+    def spy(steps, ranges, target):
         saved, homology._MAX_HALF_KEYS = homology._MAX_HALF_KEYS, cap
         try:
             kept, other = real(steps, ranges, target)

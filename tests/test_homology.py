@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections.abc import ItemsView
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,8 @@ def kernel_kappa(exponents):
     summand lies in (0, d), so 0 < k < len(exponents))."""
     d = math.lcm(*exponents)
     kept, other = _lattice_halves(
-        [d // a for a in exponents], [range(1, a) for a in exponents]
+        [d // a for a in exponents], [range(1, a) for a in exponents],
+        target=(len(exponents) - 1) * d,
     )
     return sum(count * kept.get(k * d - s, 0)
                for s, count in other for k in range(1, len(exponents)))
@@ -108,34 +110,69 @@ def test_half_sums_wrap_negacyclically():
     )
 
 
-def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
-    # with the key cap lowered to 10, the 50-point half cannot be stored:
-    # it is walked one point at a time against the stored 6-key half
-    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
-    steps, ranges = [7, 5, 3], [range(50), range(2), range(1, 4)]
-    brute = collections.Counter(
-        sum(x * w for x, w in zip(p, steps))
-        for p in itertools.product(*ranges)
-    )
-    kept, other = _lattice_halves(steps, ranges)
-    pairs = list(other)
-    assert len(kept) == 6 and len(pairs) == 50
+def split_and_meet(steps, ranges, target):
+    """The kernel's split of the box, checked, and its halves, all sums at
+    most target, met against the brute-force count of the box's sums up to
+    target: returns the split's walked axis.  kept and rest are shortest
+    axis first; the other half is stored whole, axis None, exactly when it
+    is within the key cap, and else it is walked as rest + [axis], axis its
+    longest."""
+    kept_axes, rest, axis = homology._split_box(steps, ranges, target)
+    other = rest if axis is None else rest + [axis]
+    assert collections.Counter(kept_axes + other) == collections.Counter(
+        zip(steps, ranges))
+    for half in kept_axes, rest, other:
+        assert [len(r) for _, r in half] == sorted(len(r) for _, r in half)
+    points = math.prod(len(r) for _, r in other)
+    g = math.gcd(*(w * r.step for w, r in other))
+    stored = min(points, target // g + 1) <= homology._MAX_HALF_KEYS
+    assert (axis is None) == stored
+    kept, pairs = _lattice_halves(steps, ranges, target)
+    assert isinstance(pairs, ItemsView) == stored
+    pairs = list(pairs)
+    assert all(s <= target for s, _ in pairs) and max(kept) <= target
     met = collections.Counter()
     for s, n in pairs:
         for t, m in kept.items():
-            met[s + t] += n * m
-    assert met == brute
-    kept, other = _lattice_halves(steps, ranges, target=100)
-    assert sum(n * kept.get(100 - s, 0) for s, n in other) == sum(
-        1 for p in itertools.product(*ranges)
-        if sum(x * w for x, w in zip(p, steps)) == 100
+            if s + t <= target:
+                met[s + t] += n * m
+    assert met == collections.Counter(
+        t for t in (sum(x * w for x, w in zip(p, steps))
+                    for p in itertools.product(*ranges)) if t <= target
     )
+    return axis
+
+
+def test_lattice_halves_walks_the_half_over_the_key_cap(monkeypatch):
+    # at the default key cap both halves are stored.  With the cap lowered
+    # to 10, the 50-point axis, in a half of more than 10 keys, cannot be
+    # stored: it is walked one point at a time, over each stored sum of the
+    # rest of its half, against the stored kept half
+    steps, ranges = [7, 5, 3], [range(50), range(2), range(1, 4)]
+    top = 7 * 49 + 5 + 3 * 3  # the largest sum: every sum counts
+    for target in (top, 100):
+        assert split_and_meet(steps, ranges, target) is None
+        assert split_and_meet(steps + [11], ranges + [range(3)], target) is None
+    monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
+    for target in (top, 100):
+        assert split_and_meet(steps, ranges, target) == (7, range(50))
+    assert homology._split_box(steps, ranges, top)[:2] == (
+        [(5, range(2)), (3, range(1, 4))], [])
+    kept, other = _lattice_halves(steps, ranges, top)
+    assert len(kept) == 6 and len(list(other)) == 50
+    # a fourth axis: the 9 keys of (3, 11) are kept, and (5, 7) is walked
+    # as the stored rest range(2) times the walked axis range(50)
+    box = steps + [11], ranges + [range(3)]
+    for target in (top + 22, 100):
+        assert split_and_meet(*box, target) == (7, range(50))
+        assert homology._split_box(*box, target)[:2] == (
+            [(3, range(1, 4)), (11, range(3))], [(5, range(2))])
     monkeypatch.setattr(homology, "_MAX_HALF_WORK", 49)
     with pytest.raises(BudgetExceeded, match="50 points to walk, over 49"):
-        _lattice_halves(steps, ranges)
+        _lattice_halves(steps, ranges, top)
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 5)
     with pytest.raises(BudgetExceeded):
-        _lattice_halves(steps, ranges)
+        _lattice_halves(steps, ranges, top)
 
 
 def test_the_split_search_refuses_over_the_subset_budget():
@@ -143,7 +180,7 @@ def test_the_split_search_refuses_over_the_subset_budget():
     # refused before any half is judged
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="524288 splits, over 262144"):
-        homology._split_box(range(1, 20), [range(2)] * 19)
+        homology._split_box(range(1, 20), [range(2)] * 19, target=190)
     assert time.perf_counter() - start < 0.1
 
 
@@ -151,9 +188,12 @@ def test_a_walked_half_holds_no_axis_in_memory(monkeypatch):
     # the 50000-point half is over the lowered key cap, so it is walked
     # against the 2-key half; it yields each sum instead of copying its axis
     monkeypatch.setattr(homology, "_MAX_HALF_KEYS", 10)
+    steps, ranges, top = [1, 3], [range(50000), range(2)], 50002
+    assert homology._split_box(steps, ranges, top) == (
+        [(3, range(2))], [], (1, range(50000)))
     tracemalloc.start()
     try:
-        kept, other = _lattice_halves([1, 3], [range(50000), range(2)])
+        kept, other = _lattice_halves(steps, ranges, top)
         points = total = 0
         for s, n in other:
             points += n
@@ -551,7 +591,7 @@ def test_milnor_signature_against_the_cyclic_count(monkeypatch):
 
     def spy_split(*args, **kwargs):
         halves = split_box(*args, **kwargs)
-        if halves[2]:
+        if halves[2] is not None:
             walked.add(v)
         return halves
 
@@ -608,9 +648,9 @@ def test_the_split_fills_the_analyze7_links_in_fewer_steps(monkeypatch):
     for v in vectors:
         d = math.lcm(*v)
         steps, ranges = [d // a for a in v], [range(1, a) for a in v]
-        kept, other, walked = chosen(steps, ranges, target=2 * d - 1)
-        assert not walked, v
-        for half in kept, other:
+        kept, rest, axis = chosen(steps, ranges, target=2 * d - 1)
+        assert axis is None, v
+        for half in kept, rest:
             assert fill_steps(half, d, True) <= fill_bound(half, 2 * d - 1), v
     calls = []
 

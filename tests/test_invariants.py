@@ -583,4 +583,20 @@ def test_page_and_rank_average_refuse_oversize_work():
     # budget, so it is refused before any period is walked
     with pytest.raises(BudgetExceeded):
         mean_euler_from_ranks((2, 2, 2, 3, 4000001), strict=True)
+    # a degree and a candidate period are counted by the bytes they hold:
+    # 5,000,001 degrees with 10,000,004 candidates, and 13,321,308
+    # candidates, are within 2^24 of them but over 2^29 bytes, so each is
+    # refused before any rank or column is held (both died with a
+    # MemoryError under a 1 GiB address-space cap when counted as units)
+    tracemalloc.start()
+    try:
+        for v, k_lo, k_hi in [((2, 3, 4, 16), 0, 5_000_000),
+                              ((2, 3, 7, 43, 1807), -20, 0)]:
+            link = make_link(v)
+            with pytest.raises(BudgetExceeded, match="bytes"):
+                e1_page(link, k_lo, k_hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert time.monotonic() - t0 < 1
