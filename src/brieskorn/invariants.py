@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 
 from .errors import (
@@ -68,6 +67,7 @@ __all__ = [
     "PageColumn",
     "GradedRanks",
     "e1_page",
+    "page_columns",
     "sh_plus_ranks",
     "mean_euler_from_ranks",
 ]
@@ -215,7 +215,7 @@ class PageColumn:
     ranks: tuple
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GradedRanks:
     """Per-degree ranks of positive equivariant symplectic homology.
 
@@ -224,11 +224,8 @@ class GradedRanks:
     blocks), ``period_action`` the principal period.  ``lacunary`` certifies
     that no two first-page entries with total degree in [k_lo-1, k_hi+1]
     sit at adjacent degrees with the later one in a column of smaller
-    period -- the degeneration criterion; when it holds the ranks are
-    exact, otherwise they are upper bounds.  ``columns`` retains the
-    contributing columns, a tuple of :class:`PageColumn`; it may be given
-    as any iterable of them, which is read into the tuple on first use, so
-    a caller that reads only the ranks builds no column.
+    period (the degeneration criterion: the ranks are exact, else upper
+    bounds).  ``columns`` recomputes :func:`page_columns` of ``exponents``.
     """
 
     k_lo: int
@@ -237,21 +234,11 @@ class GradedRanks:
     period_degree: int
     period_action: int
     lacunary: bool
-    columns: tuple  # a field, read through the cached_property below
+    exponents: tuple
 
-    def __init__(self, k_lo, k_hi, ranks, period_degree, period_action,
-                 lacunary, columns=()):
-        vars(self).update(
-            k_lo=k_lo, k_hi=k_hi, ranks=ranks, period_degree=period_degree,
-            period_action=period_action, lacunary=lacunary, _columns=columns,
-        )
-
-    @cached_property
+    @property
     def columns(self):
-        return tuple(self._columns)
-
-    def __getstate__(self):  # pickle and copy the columns, not the iterable
-        return dict(vars(self), _columns=self.columns)
+        return page_columns(self.exponents, self.k_lo, self.k_hi)
 
     def to_json_dict(self):
         return {
@@ -264,114 +251,129 @@ class GradedRanks:
 
 
 # Most bytes one first page may hold, counted before it holds any: a
-# window degree about 200 (its rank, and a margin degree's least and
-# greatest period), a candidate period up to 120 (its sieve byte, and the
-# (t, s, p, shift, betti) tuple of a column that meets the window).  Under
-# a 1 GiB address-space cap, (2, 3, 4, 16) over [0, 1220159], at this
-# bound, peaks 411 MB above the interpreter's start, and (2, 3, 7, 43, 1807)
-# over [-4, 0], 4,440,436 candidates, at 290 MB.
+# window degree about 200 (its rank, and its least and greatest period as
+# the action block is translated), a block candidate period 120 (its sieve
+# byte; it is then one _shift call, about 1.4 us with the walk, and no held
+# tuple).  Under a 1 GiB address-space cap, (2, 3, 4, 16) over [0, 2684300],
+# at this bound, peaks 412 MB above the interpreter's start, and
+# (2, 3, 7, 43, 1807) over [-20, 0], 1,110,109 candidates, at 4 MB.
 _MAX_PAGE_BYTES, _DEGREE_BYTES, _PERIOD_BYTES = 1 << 29, 200, 120
 # Most candidate periods one rank average may sieve, one byte each.
 _MAX_SIEVE_BYTES = 1 << 24
 
 
+def _multiples(lo, hi, step, least):
+    """The r >= least with lo <= r * step <= hi, as a range (step != 0)."""
+    lo, hi = (lo, hi) if step > 0 else (hi, lo)
+    return range(max(least, -(-lo // step)), hi // step + 1)
+
+
+def _page_block(link, k_lo, k_hi):
+    """(t, mask, lcm(a_S), shift(t), Betti vector) per column of the action
+    block [t_lo, t_top], t_top = min(t_hi, t_lo + d - 1), stratum by stratum:
+    a column that meets [k_lo-1, k_hi+1] has its period T in [t_lo, t_hi],
+    and as I_{T+d} = I_T and shift(T + d) = shift(T) + mu_P, it is a block
+    column translated by (r * d, r * mu_P), r >= 0.  Only the walk's rows
+    (``LinkProfile._strata_rows``) with lcm <= t_top are read; past 2^29
+    bytes, 200 per window degree and 120 per block candidate, BudgetExceeded
+    is raised before any period is walked."""
+    if k_hi < k_lo:
+        raise PreconditionFailed(f"empty degree window [{k_lo}, {k_hi}]")
+    rows = link._strata_rows
+    mu_p = _nonzero_principal_index(link)
+    a, d, n = link.exponents, link.degree, len(link.exponents) - 1
+    # shift(T) = T*mu_P/d + c with c in [1-n, n+3-2|I|], and a column spans
+    # 2|I|-4 degrees past its shift: so every degree lies within n-1 of
+    # T*mu_P/d, and [k_lo-1, k_hi+1] bounds T*mu_P by these
+    reach = _multiples((k_lo - n) * d, (k_hi + n) * d, mu_p, 1)
+    t_lo, t_top = reach.start, min(reach.stop, reach.start + d) - 1
+    rows = [row for row in rows if row[1] <= t_top]  # row[1] = lcm(a_S)
+    periods = _period_work([row[1] for row in rows], t_lo, t_top)
+    held = _DEGREE_BYTES * (k_hi - k_lo + 1) + _PERIOD_BYTES * periods
+    if held > _MAX_PAGE_BYTES:
+        raise BudgetExceeded(f"first page of {a} in degrees [{k_lo}, {k_hi}] "
+                             f"holds up to {held} bytes for {k_hi - k_lo + 1} "
+                             f"degrees and {periods} candidate periods, over "
+                             f"{_MAX_PAGE_BYTES}")
+    for s, p, _, kappa in rows:
+        size = s.bit_count()
+        betti = _quotient_ranks(size, kappa)
+        for t in compress(*_stratum_periods(a, p, t_lo, t_top)):
+            yield t, s, p, _shift(link, size, t), betti
+
+
 def e1_page(link, k_lo, k_hi):
     """First page of the Morse-Bott spectral sequence, in a degree window.
 
-    Every period T with |I_T| >= 2 labels one column, and the columns are
-    ordered by period (by action); the column of a stratum traversed with
-    period T contributes the quotient's Betti vector at total degrees
-    shift(T), shift(T)+1, ..., shift(T) + 2q.  Degrees below every column
-    vanish.
-
-    Only columns that can meet [k_lo-1, k_hi+1] are built.  A column of
-    period T spans degrees within n - 1 of T * mu_P / d, which bounds T to
-    [t_lo, t_hi].  Only the walk's strata (``LinkProfile._strata_rows``) of
-    minimal period T_i <= t_hi are read, each walking its multiples there
-    but those an outside exponent divides (a bigger stratum's).  The cost
-    grows with these candidate periods, about (k_hi - k_lo + 2n) * d /
-    |mu_P| * sum 1/T_i over those strata, not with d alone.  Past 2^29
-    bytes, 200 per window degree and 120 per candidate period,
-    BudgetExceeded is raised before any is built.
-
-    Returns :class:`GradedRanks` with per-column detail for every column
-    whose degree span meets [k_lo-1, k_hi+1], sorted by period and built
-    as :class:`PageColumn` objects (exponents from the stratum's mask) when
-    ``columns`` is read.
+    Every period T with |I_T| >= 2 labels one column, ordered by period
+    (by action); the column of a stratum traversed with period T holds the
+    quotient's Betti vector at total degrees shift(T), ..., shift(T) + 2q,
+    and degrees below every column vanish.  The page is periodic, so only
+    the action block of d periods from the window's least period on is
+    sieved (:func:`_page_block`); its rank and least and greatest period
+    per degree are carried across the window mu_P degrees at a time.  The
+    cost, about min(d, (k_hi - k_lo + 2n) * d/|mu_P|) * sum 1/T_i shifts
+    and a step per window degree, follows the window, not d.  Returns
+    :class:`GradedRanks`; :func:`page_columns` lists the columns.
     """
     link = _as_link(link)
-    if k_hi < k_lo:
-        raise PreconditionFailed(
-            f"empty degree window [{k_lo}, {k_hi}]"
-        )
-    rows = link._strata_rows
-    mu_p = _nonzero_principal_index(link)
+    ranks, first, last = {}, {}, {}  # per degree: rank, least, greatest period
+    for t, _, _, shift, betti in _page_block(link, k_lo, k_hi):
+        for k, b in enumerate(betti, shift):
+            if b:
+                ranks[k] = ranks.get(k, 0) + b
+                if first.setdefault(k, t) > t:
+                    first[k] = t
+                if last.setdefault(k, t) < t:
+                    last[k] = t
+    mu_p, d = principal_index(link), link.degree
     lo_m, hi_m = k_lo - 1, k_hi + 1
-    a, d = link.exponents, link.degree
-    n = len(a) - 1
-    # shift(T) = T*mu_P/d + c with c in [1-n, n+3-2|I|], and a column spans
-    # 2|I|-4 degrees past its shift: so every degree lies within n-1 of
-    # T*mu_P/d, and [lo, hi] below bounds T*mu_P.
-    lo, hi = (lo_m - n + 1) * d, (hi_m + n - 1) * d
-    if mu_p < 0:
-        lo, hi = hi, lo
-    t_lo, t_hi = max(1, -(-lo // mu_p)), hi // mu_p
-    rows = [row for row in rows if row[1] <= t_hi]  # row[1] = lcm(a_S)
-    degrees = k_hi - k_lo + 1
-    periods = _period_work([row[1] for row in rows], t_lo, t_hi)
-    held = _DEGREE_BYTES * degrees + _PERIOD_BYTES * periods
-    if held > _MAX_PAGE_BYTES:
-        raise BudgetExceeded(
-            f"first page of {link.exponents} in degrees [{k_lo}, {k_hi}] "
-            f"holds up to {held} bytes for {degrees} degrees and {periods} "
-            f"candidate periods, over {_MAX_PAGE_BYTES}"
-        )
-    found, ranks = [], {k: 0 for k in range(k_lo, k_hi + 1)}
-    first, last = {}, {}  # per margin degree, its least and greatest period
-    for s, p, _, kappa in rows:
-        size = s.bit_count()
-        span = 2 * size - 4
-        betti = None
-        for t in compress(*_stratum_periods(a, p, t_lo, t_hi)):
-            shift = _shift(link, size, t)
-            if shift > hi_m or shift + span < lo_m:
-                continue
-            if betti is None:
-                betti = _quotient_ranks(size, kappa)
-            found.append((t, s, p, shift, betti))
-            for k, b in enumerate(betti, shift):
-                if b and lo_m <= k <= hi_m:
-                    if first.setdefault(k, t) > t:
-                        first[k] = t
-                    if last.setdefault(k, t) < t:
-                        last[k] = t
-                    if k_lo <= k <= k_hi:
-                        ranks[k] += b
-    return GradedRanks(
-        k_lo=k_lo,
-        k_hi=k_hi,
-        ranks=ranks,
-        period_degree=mu_p,
-        period_action=d,
-        lacunary=all(first.get(k - 1, t) >= t for k, t in last.items()),
-        # (found,) binds now; the sort by period waits for .columns
-        columns=(PageColumn(t, t // p, _mask_exponents(a, s), shift, betti)
-                 for cols in (found,) for t, s, p, shift, betti in sorted(cols)),
-    )
+    # past the block's edge, each degree adds the final count mu_P before it
+    if mu_p > 0:
+        walk = range(min(ranks, default=hi_m) + mu_p, hi_m + 1)
+    else:
+        walk = range(max(ranks, default=lo_m) + mu_p, lo_m - 1, -1)
+    for k in walk:
+        j = k - mu_p
+        if j in ranks:
+            ranks[k] = ranks.get(k, 0) + ranks[j]
+            first.setdefault(k, first[j] + d)
+            last[k] = last[j] + d
+    lacunary = all(first.get(k - 1, t) >= t
+                   for k, t in last.items() if lo_m < k <= hi_m)
+    del first, last  # before the window's ranks are filled
+    window = dict.fromkeys(range(k_lo, k_hi + 1), 0)
+    window.update((k, v) for k, v in ranks.items() if k_lo <= k <= k_hi)
+    return GradedRanks(k_lo, k_hi, window, mu_p, d, lacunary, link.exponents)
+
+
+def page_columns(link, k_lo, k_hi):
+    """The first page's columns that meet [k_lo-1, k_hi+1], by period:
+    each column of :func:`e1_page`'s action block and its translates by
+    (r * d, r * mu_P), r >= 0, there.  Raises as :func:`e1_page` does.
+
+    >>> [c.period for c in page_columns((3, 3, 4, 7), 0, 0) if c.shift == 0]
+    [3, 6, 12]
+    """
+    link = _as_link(link)
+    a, d, mu_p = link.exponents, link.degree, principal_index(link)
+    out = []
+    for t, s, p, shift, betti in _page_block(link, k_lo, k_hi):
+        out += [(t + r * d, s, p, shift + r * mu_p, betti) for r in _multiples(
+            k_lo - shift - len(betti), k_hi + 1 - shift, mu_p, 0)]
+    return tuple(PageColumn(t, t // p, _mask_exponents(a, s), shift, betti)
+                 for t, s, p, shift, betti in sorted(out))
 
 
 def sh_plus_ranks(link, k_lo, k_hi):
     """Ranks of positive equivariant symplectic homology in [k_lo, k_hi].
 
-    Exact when the page is lacunary; otherwise the first-page ranks are
-    upper bounds for the homology ranks, and the ``lacunary`` flag (the
-    window-scoped check) says which situation the caller is in.  Every shift
-    has the same parity, but strata whose quotient is odd-complex-dimensional
-    with positive middle rank (a curve of positive genus, say) inject
-    odd-degree classes, so non-lacunary pages do occur -- (2,7,7,7) is one.
-
-    The cost follows the periods whose columns can meet the window, as in
-    :func:`e1_page`, and BudgetExceeded is raised when they are too many.
+    Exact when the page is lacunary, otherwise upper bounds; the
+    ``lacunary`` flag (the window-scoped check) says which.  Every shift
+    has the same parity, but a stratum whose quotient has odd complex
+    dimension and positive middle rank (a curve of positive genus, say)
+    puts classes at odd degrees, so non-lacunary pages occur: (2,7,7,7).
+    The cost is :func:`e1_page`'s, one action block of periods.
 
     >>> sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0).ranks
     {0: 6}
@@ -382,33 +384,29 @@ def sh_plus_ranks(link, k_lo, k_hi):
 def mean_euler_from_ranks(link, strict=False):
     """Mean Euler characteristic recovered from graded ranks alone.
 
-    Uses the (T_P, mu_P)-periodicity of the page: past the degrees touched
-    by the first action block, the rank profile repeats with degree period
-    mu_P, so the alternating sum over one stable window of width |mu_P|,
-    divided by |mu_P|, equals the mean Euler characteristic.  That window
-    holds every column of the first block exactly once, translated by some
-    multiple of mu_P (even), so the sum is read off the first block's
-    columns as sum (-1)^shift * chi.  Independent of :func:`mean_euler`
-    (no phi counts), which makes the agreement of the two a strong
-    cross-check.  Every shift has the parity of n + 1 (see :func:`_shift`),
-    so the sum has one term per stratum, chi times the periods T <= d it
-    labels, and one sign, applied to the total.  The periods are counted
-    by one sieve pass of d/T_i bytes over the stratum's multiples, so the
-    cost is sum d/T_i bytes and slice steps, with no period spectrum
-    built; past 2^24 BudgetExceeded is raised up front.
+    Past the first action block the rank profile repeats with degree
+    period mu_P, so the alternating sum over one stable window of width
+    |mu_P|, divided by |mu_P|, is the mean Euler characteristic.  That
+    window holds each first-block column once, translated by a multiple of
+    mu_P (even), so the sum is sum (-1)^shift * chi over those columns: one
+    term per stratum, chi times the periods T <= d it labels, and the one
+    sign every shift has (see :func:`_shift`).  No phi count is used, so
+    agreeing with :func:`mean_euler` is a strong cross-check.  The periods
+    are counted by one sieve pass of d/T_i bytes per stratum, with no shift
+    computed (the page's block walk takes one per period); past 2^24 bytes
+    BudgetExceeded is raised up front.
 
-    In the lacunary case the first-page ranks are the homology ranks, so
-    this is literally the defining average.  When the page is not lacunary
-    the first-page ranks are only upper bounds, but the *alternating sum*
-    over a stable period is still exact: differentials cancel in pairs of
-    adjacent degrees, and by periodicity the pairs straddling the window
-    boundary balance.  Pass ``strict=True`` to demand the certified reading
-    and get NotLacunary when the stable window fails the check.  Only then
-    is the page built, on a stable window placed in closed form: every
-    first-block degree lies within n - 1 of T * mu_P / d for some T <= d,
-    so the window starts at mu_P + n when mu_P > 0 and ends at mu_P - n
-    when mu_P < 0.  Every full |mu_P|-wide window past the first block
-    gives the same lacunarity verdict and the same alternating sum.
+    When lacunary, the first-page ranks are the homology ranks and this is
+    the defining average.  Otherwise they are upper bounds, but the
+    alternating sum over a stable period is still exact: differentials
+    cancel in pairs of adjacent degrees, and by periodicity the pairs
+    straddling the window's ends balance.  ``strict=True`` demands the
+    certified reading and raises NotLacunary when the stable window fails
+    the check.  Only then is the page built, on a stable window placed in
+    closed form: every first-block degree lies within n - 1 of
+    T * mu_P / d for some T <= d, so the window starts at mu_P + n when
+    mu_P > 0 and ends at mu_P - n when mu_P < 0.  Every full |mu_P|-wide
+    window past the first block gives the same verdict and the same sum.
 
     >>> mean_euler_from_ranks(make_link((2, 3, 4, 16))).value
     Fraction(25, 14)

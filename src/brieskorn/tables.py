@@ -409,7 +409,6 @@ _CSV_COLUMNS = (
     ("perturbation_count", "moduli.perturbation_count"),
     ("sh0_rank", "sh0_rank"),
 )
-CSV_HEADER = ";".join(name for name, _ in _CSV_COLUMNS)
 _csv_values = attrgetter(*(attr for _, attr in _CSV_COLUMNS))
 
 

@@ -88,6 +88,19 @@ def test_sh_ranks_window_and_json(capsys):
     }
 
 
+def test_sh_ranks_of_a_link_with_tiny_mu_p(capsys):
+    # L(2,3,7,43,1807): mu_P = -2 against d = 3,263,442; the window meets
+    # 13,321,308 candidate periods, of which one action block holds
+    # 1,110,109 and the rest are its translates
+    code, out, _ = run_cli(capsys, "sh-ranks", "2,3,7,43,1807", "-20", "0")
+    assert code == 0
+    expected = {-3: 910222, -1: 758522}
+    assert out.splitlines() == [
+        f"SH_{k} = {0 if k % 2 == 0 else expected.get(k, 910223)}"
+        for k in range(-20, 1)
+    ] + ["lacunary"]
+
+
 def test_se_check(capsys):
     code, out, _ = run_cli(capsys, "se-check", "2,3,5,7")
     assert code == 0

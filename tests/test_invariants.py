@@ -25,6 +25,7 @@ from brieskorn import (
     maslov_index,
     mean_euler,
     mean_euler_from_ranks,
+    page_columns,
     period_spectrum,
     principal_index,
     quotient_betti,
@@ -46,8 +47,9 @@ def phi_by_scan(period, exclusions, principal_period):
 
 
 def e1_page_by_blocks(link, k_lo, k_hi):
-    """Reference first page: index every period of the first action block,
-    then translate the block by (d, mu_P) until the window is passed."""
+    """Reference first page and its columns: index every period of the
+    first action block, then translate the block by (d, mu_P) until the
+    window is passed."""
     a = link.exponents
     mu_p = principal_index(link)
     betti = {s: quotient_betti(s.exponents).ranks for s in link.strata}
@@ -94,8 +96,8 @@ def e1_page_by_blocks(link, k_lo, k_hi):
     lacunary = all(first.get(k - 1, o) >= o for k, o in last.items())
     return GradedRanks(
         k_lo=k_lo, k_hi=k_hi, ranks=ranks, period_degree=mu_p,
-        period_action=link.degree, lacunary=lacunary, columns=tuple(columns),
-    )
+        period_action=link.degree, lacunary=lacunary, exponents=a,
+    ), tuple(columns)
 
 
 def stratum_exclusions(link):
@@ -329,20 +331,20 @@ def test_sh0_distinguishes_the_contact_pair():
 
 
 def test_degree_zero_columns_of_2_3_7_22():
-    g = sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0)
-    at_zero = {c.period for c in g.columns if c.shift == 0}
+    columns = page_columns(make_link((2, 3, 7, 22)), 0, 0)
+    at_zero = {c.period for c in columns if c.shift == 0}
     assert at_zero == {6, 12, 14, 18, 21, 42}
 
 
 def test_degree_zero_columns_of_3_3_4_7():
-    g = sh_plus_ranks(make_link((3, 3, 4, 7)), 0, 0)
-    contrib = {c.period: c.ranks[0 - c.shift] for c in g.columns if c.shift == 0}
+    columns = page_columns(make_link((3, 3, 4, 7)), 0, 0)
+    contrib = {c.period: c.ranks[0 - c.shift] for c in columns if c.shift == 0}
     assert contrib == {3: 3, 6: 3, 12: 1}
 
 
 def test_ranks_only_callers_build_no_page_column(monkeypatch):
-    # the page's columns are built when .columns is first read, not by the
-    # callers that read only ranks and lacunary
+    # the page's columns are built by page_columns, not by the callers that
+    # read only ranks and lacunary
     from brieskorn import build_record, find_mec_collisions, invariants
 
     built = []
@@ -362,13 +364,13 @@ def test_ranks_only_callers_build_no_page_column(monkeypatch):
     assert strict.value == Fraction(77, 10)
     g = sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0)
     assert g.ranks == {0: 6} and built == []
-    columns = g.columns
-    assert len(columns) == len(built) > 0 and g.columns is columns
+    columns = page_columns(make_link((2, 3, 7, 22)), 0, 0)
+    assert len(columns) == len(built) > 0
+    assert g.columns == columns  # the property reads page_columns afresh
     assert g == GradedRanks(g.k_lo, g.k_hi, g.ranks, g.period_degree,
-                            g.period_action, g.lacunary, columns)
+                            g.period_action, g.lacunary, (2, 3, 7, 22))
     monkeypatch.undo()
-    fresh = sh_plus_ranks(make_link((2, 3, 7, 22)), 0, 0)
-    assert pickle.loads(pickle.dumps(fresh)) == g  # pickles built columns
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 @pytest.mark.parametrize("v", [(2, 3, 5, 7), (2, 5, 9, 11), (2, 5, 7, 13),
@@ -391,7 +393,7 @@ def test_page_reads_only_strata_that_reach_the_window(monkeypatch, v):
         return stratum_periods(exponents, period, t_lo, t_hi)
 
     monkeypatch.setattr(invariants, "_stratum_periods", counting_stratum_periods)
-    assert sh_plus_ranks(link, 0, 0) == e1_page_by_blocks(link, 0, 0)
+    assert sh_plus_ranks(link, 0, 0) == e1_page_by_blocks(link, 0, 0)[0]
     assert sorted(walked) == [s.min_period for s in reachable]
 
 
@@ -409,7 +411,7 @@ def test_page_rank_average_and_collide_build_no_stratum(monkeypatch):
 
     monkeypatch.setattr(linkmodel, "Stratum", counting_stratum)
     for v in [(2, 3, 7, 22), (3, 3, 4, 7), (2, 3, 5, 7), (2, 2, 2, 3, 5)]:
-        assert sh_plus_ranks(make_link(v), -3, 3).columns
+        assert page_columns(make_link(v), -3, 3)
         assert mean_euler_from_ranks(make_link(v)) == mean_euler(make_link(v))
         strict = mean_euler_from_ranks(make_link(v), strict=True)
         assert strict == mean_euler(make_link(v))
@@ -422,8 +424,8 @@ def test_page_columns_match_the_block_reference_on_small_multisets():
     for v in combinations_with_replacement(range(2, 13), 4):
         link = make_link(v)
         if principal_index(link) != 0:
-            assert e1_page(link, -2, 2).columns == (
-                e1_page_by_blocks(link, -2, 2).columns), v
+            assert page_columns(link, -2, 2) == (
+                e1_page_by_blocks(link, -2, 2)[1]), v
 
 
 def test_page_vanishes_below_minimal_shift():
@@ -542,11 +544,21 @@ def test_windowed_page_matches_full_block_reference():
         link = make_link(vec)
         signs.add(principal_index(link) > 0)
         for k_lo, k_hi in _oracle_windows(link):
-            assert e1_page(link, k_lo, k_hi) == e1_page_by_blocks(
-                link, k_lo, k_hi
-            ), (vec, k_lo, k_hi)
+            page = (e1_page(link, k_lo, k_hi), page_columns(link, k_lo, k_hi))
+            assert page == e1_page_by_blocks(link, k_lo, k_hi), (
+                vec, k_lo, k_hi)
     assert signs == {True, False}
     assert not e1_page(make_link((2, 7, 7, 7)), -4, 2).lacunary
+
+
+def test_strict_rank_average_of_a_link_with_tiny_mu_p():
+    # L(2,3,7,43,1807): mu_P = -2 against d = 3,263,442, so the stable
+    # window meets 4,995,509 candidate periods, over the page's bound; its
+    # page sieves the 1,110,109 of one action block and translates them
+    link = make_link((2, 3, 7, 43, 1807))
+    strict = mean_euler_from_ranks(link, strict=True)
+    assert strict == mean_euler(link)
+    assert strict.value == Fraction(-910223, 2)
 
 
 def test_far_window_is_cheap_and_periodic():
@@ -584,14 +596,15 @@ def test_page_and_rank_average_refuse_oversize_work():
     with pytest.raises(BudgetExceeded):
         mean_euler_from_ranks((2, 2, 2, 3, 4000001), strict=True)
     # a degree and a candidate period are counted by the bytes they hold:
-    # 5,000,001 degrees with 10,000,004 candidates, and 13,321,308
-    # candidates, are within 2^24 of them but over 2^29 bytes, so each is
-    # refused before any rank or column is held (both died with a
-    # MemoryError under a 1 GiB address-space cap when counted as units)
+    # 5,000,001 degrees with 10,000,004 candidates are within 2^24 of them
+    # but over 2^29 bytes, so they are refused before any rank is held (they
+    # died with a MemoryError under a 1 GiB address-space cap when counted
+    # as units); so are the 7,340,032 candidates of one action block of
+    # (2, 2, 7340031), 880,806,040 bytes
     tracemalloc.start()
     try:
         for v, k_lo, k_hi in [((2, 3, 4, 16), 0, 5_000_000),
-                              ((2, 3, 7, 43, 1807), -20, 0)]:
+                              ((2, 2, 7340031), 0, 10)]:
             link = make_link(v)
             with pytest.raises(BudgetExceeded, match="bytes"):
                 e1_page(link, k_lo, k_hi)

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "is_homotopy_sphere", "is_rational_homology_sphere",
     "lichnerowicz_obstructed", "make_link", "maslov_index", "mean_euler",
     "mean_euler_from_ranks", "middle_betti", "milnor_signature_dim7",
-    "moduli_dimension", "parse_exponents", "parse_sweep_spec",
+    "moduli_dimension", "page_columns", "parse_exponents", "parse_sweep_spec",
     "period_spectrum", "principal_index", "quotient_betti", "se_coprime_iff",
     "se_status", "se_sufficient", "sh_plus_ranks", "sylvester_links",
     "sylvester_sequence",
@@ -34,7 +34,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(brieskorn.__all__) == len(set(brieskorn.__all__)) == 66
+    assert len(brieskorn.__all__) == len(set(brieskorn.__all__)) == 67
     assert sorted(brieskorn.__all__) == PUBLIC_NAMES
 
 

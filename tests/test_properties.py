@@ -31,6 +31,7 @@ from brieskorn import (
     middle_betti,
     milnor_signature_dim7,
     moduli_dimension,
+    page_columns,
     period_spectrum,
     principal_index,
     quotient_betti,
@@ -240,9 +241,9 @@ def test_windowed_page_matches_full_block_reference(vec, k_lo, width):
     link = make_link(vec)
     if principal_index(link) == 0:
         return
-    assert e1_page(link, k_lo, k_lo + width) == e1_page_by_blocks(
-        link, k_lo, k_lo + width
-    )
+    k_hi = k_lo + width
+    page = (e1_page(link, k_lo, k_hi), page_columns(link, k_lo, k_hi))
+    assert page == e1_page_by_blocks(link, k_lo, k_hi)
 
 
 @SETTINGS
