@@ -204,7 +204,7 @@ def mean_euler(link):
     return MeanEuler(value=Fraction(numerator, abs(mu_p)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageColumn:
     """One column of the first page: a stratum traversed with some period."""
 
@@ -225,7 +225,7 @@ class GradedRanks:
     that no two first-page entries with total degree in [k_lo-1, k_hi+1]
     sit at adjacent degrees with the later one in a column of smaller
     period (the degeneration criterion: the ranks are exact, else upper
-    bounds).  ``columns`` recomputes :func:`page_columns` of ``exponents``.
+    bounds).  ``columns`` calls :func:`page_columns` on every read.
     """
 
     k_lo: int
@@ -251,12 +251,12 @@ class GradedRanks:
 
 
 # Most bytes one first page may hold, counted before it holds any: a
-# window degree about 200 (its rank, and its least and greatest period as
-# the action block is translated), a block candidate period 120 (its sieve
-# byte; it is then one _shift call, about 1.4 us with the walk, and no held
-# tuple).  Under a 1 GiB address-space cap, (2, 3, 4, 16) over [0, 2684300],
-# at this bound, peaks 412 MB above the interpreter's start, and
-# (2, 3, 7, 43, 1807) over [-20, 0], 1,110,109 candidates, at 4 MB.
+# window degree 200 (its rank, least and greatest period), a block
+# candidate period 120 (a sieve byte and one _shift call of about 1.4 us,
+# no held tuple), and, as page_columns holds every translate, a candidate
+# of the window's whole period range 240 (a column peaks near 210).  At this
+# bound under a 1 GiB cap, e1_page of (2, 3, 4, 16) over [0, 2684300] and
+# page_columns of (2, 2, 1001) over [0, 8898] peak 412 and 445 MiB.
 _MAX_PAGE_BYTES, _DEGREE_BYTES, _PERIOD_BYTES = 1 << 29, 200, 120
 # Most candidate periods one rank average may sieve, one byte each.
 _MAX_SIEVE_BYTES = 1 << 24
@@ -268,15 +268,16 @@ def _multiples(lo, hi, step, least):
     return range(max(least, -(-lo // step)), hi // step + 1)
 
 
-def _page_block(link, k_lo, k_hi):
+def _page_block(link, k_lo, k_hi, translates=False):
     """(t, mask, lcm(a_S), shift(t), Betti vector) per column of the action
     block [t_lo, t_top], t_top = min(t_hi, t_lo + d - 1), stratum by stratum:
     a column that meets [k_lo-1, k_hi+1] has its period T in [t_lo, t_hi],
     and as I_{T+d} = I_T and shift(T + d) = shift(T) + mu_P, it is a block
     column translated by (r * d, r * mu_P), r >= 0.  Only the walk's rows
-    (``LinkProfile._strata_rows``) with lcm <= t_top are read; past 2^29
-    bytes, 200 per window degree and 120 per block candidate, BudgetExceeded
-    is raised before any period is walked."""
+    (``LinkProfile._strata_rows``) with lcm <= t_top are read.  Past 2^29
+    bytes, 200 per window degree and 120 per block candidate (with
+    ``translates``, 240 per candidate in [t_lo, t_hi], each a column that
+    may be held), BudgetExceeded is raised before any period is walked."""
     if k_hi < k_lo:
         raise PreconditionFailed(f"empty degree window [{k_lo}, {k_hi}]")
     rows = link._strata_rows
@@ -287,15 +288,15 @@ def _page_block(link, k_lo, k_hi):
     # T*mu_P/d, and [k_lo-1, k_hi+1] bounds T*mu_P by these
     reach = _multiples((k_lo - n) * d, (k_hi + n) * d, mu_p, 1)
     t_lo, t_top = reach.start, min(reach.stop, reach.start + d) - 1
-    rows = [row for row in rows if row[1] <= t_top]  # row[1] = lcm(a_S)
-    periods = _period_work([row[1] for row in rows], t_lo, t_top)
-    held = _DEGREE_BYTES * (k_hi - k_lo + 1) + _PERIOD_BYTES * periods
+    end, unit = (reach.stop - 1, 2) if translates else (t_top, 1)
+    periods = _period_work([row[1] for row in rows], t_lo, end)  # lcm(a_S)
+    held = _DEGREE_BYTES * (k_hi - k_lo + 1) + unit * _PERIOD_BYTES * periods
     if held > _MAX_PAGE_BYTES:
         raise BudgetExceeded(f"first page of {a} in degrees [{k_lo}, {k_hi}] "
                              f"holds up to {held} bytes for {k_hi - k_lo + 1} "
                              f"degrees and {periods} candidate periods, over "
                              f"{_MAX_PAGE_BYTES}")
-    for s, p, _, kappa in rows:
+    for s, p, _, kappa in [row for row in rows if row[1] <= t_top]:
         size = s.bit_count()
         betti = _quotient_ranks(size, kappa)
         for t in compress(*_stratum_periods(a, p, t_lo, t_top)):
@@ -308,13 +309,12 @@ def e1_page(link, k_lo, k_hi):
     Every period T with |I_T| >= 2 labels one column, ordered by period
     (by action); the column of a stratum traversed with period T holds the
     quotient's Betti vector at total degrees shift(T), ..., shift(T) + 2q,
-    and degrees below every column vanish.  The page is periodic, so only
-    the action block of d periods from the window's least period on is
-    sieved (:func:`_page_block`); its rank and least and greatest period
-    per degree are carried across the window mu_P degrees at a time.  The
-    cost, about min(d, (k_hi - k_lo + 2n) * d/|mu_P|) * sum 1/T_i shifts
-    and a step per window degree, follows the window, not d.  Returns
-    :class:`GradedRanks`; :func:`page_columns` lists the columns.
+    and degrees below every column vanish.  The page is periodic: only the
+    action block of d periods from the window's least period is sieved
+    (:func:`_page_block`), and its rank and least and greatest period per
+    degree are carried across the window mu_P degrees at a time, so the
+    cost follows the window, not d: about min(d, (k_hi - k_lo + 2n) *
+    d/|mu_P|) * sum 1/T_i shifts.  :func:`page_columns` lists the columns.
     """
     link = _as_link(link)
     ranks, first, last = {}, {}, {}  # per degree: rank, least, greatest period
@@ -350,7 +350,8 @@ def e1_page(link, k_lo, k_hi):
 def page_columns(link, k_lo, k_hi):
     """The first page's columns that meet [k_lo-1, k_hi+1], by period:
     each column of :func:`e1_page`'s action block and its translates by
-    (r * d, r * mu_P), r >= 0, there.  Raises as :func:`e1_page` does.
+    (r * d, r * mu_P), r >= 0, there.  Raises as :func:`e1_page` does, but
+    counts every candidate period of the window as a column held.
 
     >>> [c.period for c in page_columns((3, 3, 4, 7), 0, 0) if c.shift == 0]
     [3, 6, 12]
@@ -358,11 +359,12 @@ def page_columns(link, k_lo, k_hi):
     link = _as_link(link)
     a, d, mu_p = link.exponents, link.degree, principal_index(link)
     out = []
-    for t, s, p, shift, betti in _page_block(link, k_lo, k_hi):
-        out += [(t + r * d, s, p, shift + r * mu_p, betti) for r in _multiples(
-            k_lo - shift - len(betti), k_hi + 1 - shift, mu_p, 0)]
-    return tuple(PageColumn(t, t // p, _mask_exponents(a, s), shift, betti)
-                 for t, s, p, shift, betti in sorted(out))
+    for t, s, p, shift, betti in _page_block(link, k_lo, k_hi, True):
+        names = _mask_exponents(a, s)
+        rs = _multiples(k_lo - shift - len(betti), k_hi + 1 - shift, mu_p, 0)
+        out += [PageColumn(t + r * d, (t + r * d) // p, names,
+                           shift + r * mu_p, betti) for r in rs]
+    return tuple(sorted(out, key=lambda c: c.period))  # a column per period
 
 
 def sh_plus_ranks(link, k_lo, k_hi):
@@ -393,8 +395,7 @@ def mean_euler_from_ranks(link, strict=False):
     sign every shift has (see :func:`_shift`).  No phi count is used, so
     agreeing with :func:`mean_euler` is a strong cross-check.  The periods
     are counted by one sieve pass of d/T_i bytes per stratum, with no shift
-    computed (the page's block walk takes one per period); past 2^24 bytes
-    BudgetExceeded is raised up front.
+    computed; past 2^24 bytes BudgetExceeded is raised up front.
 
     When lacunary, the first-page ranks are the homology ranks and this is
     the defining average.  Otherwise they are upper bounds, but the

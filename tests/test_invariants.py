@@ -608,6 +608,14 @@ def test_page_and_rank_average_refuse_oversize_work():
             link = make_link(v)
             with pytest.raises(BudgetExceeded, match="bytes"):
                 e1_page(link, k_lo, k_hi)
+        # page_columns holds every translate of the block's columns, so it
+        # counts each candidate period of the window's whole period range:
+        # e1_page answers these windows from one block, but their columns
+        # are refused before any is built
+        for v, k_lo, k_hi in [((2, 3, 7, 43, 1807), -100000, 0),
+                              ((2, 3, 4, 16), 0, 2684300)]:
+            with pytest.raises(BudgetExceeded, match="bytes"):
+                page_columns(make_link(v), k_lo, k_hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
